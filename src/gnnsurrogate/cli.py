@@ -77,6 +77,7 @@ def _train_config(sec, task: str, seed_override) -> training.TrainConfig:
         plateau_patience=sec.getint("plateau_patience", 50),
         plateau_factor=sec.getfloat("plateau_factor", 0.5),
         plateau_min_delta=sec.getfloat("plateau_min_delta", 1e-5),
+        lr_min=sec.getfloat("lr_min", None),
         seed=seed_override if seed_override is not None else sec.getint("seed", 0),
         task=task,
     )
@@ -106,11 +107,7 @@ def cmd_train(args) -> int:
         adam, sched, start = resume.adam, resume.schedule, resume.epoch
     else:
         adam = training.AdamState.for_parameters(model.parameters())
-        sched = training.PlateauSchedule(
-            lr=train_cfg.initial_lr, factor=train_cfg.plateau_factor,
-            patience=train_cfg.plateau_patience,
-            min_delta=train_cfg.plateau_min_delta,
-            lr_min=train_cfg.initial_lr / 64)
+        sched = train_cfg.plateau_schedule()
         start = 0
     log = training.fit(model, graphs, train_cfg, adam_state=adam,
                        schedule=sched, start_epoch=start)
@@ -123,7 +120,7 @@ def cmd_train(args) -> int:
     with open(log_path, "w") as fh:
         for rec in log.records:
             fh.write(json.dumps({"epoch": rec.epoch, "loss": rec.mean_loss,
-                                 "lr": rec.lr}) + "\n")
+                                 "lr": rec.lr, "wall_time": rec.wall_time}) + "\n")
     print(f"trained {final_epoch} epochs, final loss {log.records[-1].mean_loss:.6g}; "
           f"checkpoint at {args.out}")
     return 0

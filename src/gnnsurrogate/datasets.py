@@ -41,6 +41,24 @@ class GraphRecord:
     node_target: np.ndarray | None = None     # physical scale, (N,) or (N, d_y)
     graph_target: np.ndarray | None = None    # physical scale, (d_G,)
 
+    def validate(self) -> "GraphRecord":
+        """Raise DatasetFormatError naming the record if its arrays are not
+        finite or node_target does not have one row per node."""
+        for name in ("positions", "node_target", "graph_target"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise DatasetFormatError(f"record {self.graph_id}: non-finite {name}")
+        if self.positions.ndim != 2:
+            raise DatasetFormatError(
+                f"record {self.graph_id}: positions must be (N, D), got {self.positions.shape}")
+        n = self.positions.shape[0]
+        if self.node_target is not None and (self.node_target.ndim == 0
+                                             or self.node_target.shape[0] != n):
+            raise DatasetFormatError(
+                f"record {self.graph_id}: node_target shape {self.node_target.shape}, "
+                f"expected {n} rows (one per node)")
+        return self
+
     def build_topology(self) -> Graph:
         if self.chain:
             return build_surface_chain(self.positions, closed=self.closed)
@@ -315,7 +333,7 @@ class Featurizer:
     def fit(self, records: list[GraphRecord]) -> "Featurizer":
         node_blocks, edge_blocks, target_blocks = [], [], []
         for rec in records:
-            topo = rec.build_topology()
+            topo = rec.validate().build_topology()
             nf, ef = self._raw_features(rec, topo)
             node_blocks.append(nf)
             edge_blocks.append(ef)
@@ -328,7 +346,7 @@ class Featurizer:
         return self
 
     def transform(self, rec: GraphRecord) -> Sample:
-        topo = rec.build_topology()
+        topo = rec.validate().build_topology()
         nf, ef = self._raw_features(rec, topo)
         node_targets = None
         pressure_mean = None

@@ -60,34 +60,55 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def forward_tape(mlp: Mlp, x: np.ndarray):
-    """Row-batched forward pass; returns (output, tape for backward)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
+    """Row-batched forward pass; returns (output, tape for backward).
+
+    The tape is (hs, zs): hs[k] is layer k's input and zs[k] its
+    pre-activation, held as w0*z for sine layers so that backward takes the
+    cosine of it directly. A caller that forms the first layer's product
+    x @ W0 itself (the graph model does so block by block) passes it as `z0`,
+    which this function adds the bias to in place; `x` is then not used and
+    hs[0] is None.
+    """
     cfg = mlp.config
-    if x.shape[1] != cfg.input_size:
-        raise ValueError(f"input width {x.shape[1]}, expected {cfg.input_size}")
+    if z0 is None:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[1] != cfg.input_size:
+            raise ValueError(f"input width {x.shape[1]}, expected {cfg.input_size}")
+        z = x @ mlp.weights[0]
+    else:
+        x, z = None, z0
+        if z.shape[1] != mlp.weights[0].shape[1]:
+            raise ValueError(f"first pre-activation width {z.shape[1]}, "
+                             f"expected {mlp.weights[0].shape[1]}")
     w0 = cfg.sine_frequency
     hs = [x]       # layer inputs
-    zs = []        # pre-activations
-    h = x
+    zs = []        # pre-activations (times w0 for sine layers)
     last = len(mlp.weights) - 1
-    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w + b
-        zs.append(z)
-        if k < last:
-            h = np.sin(w0 * z)
-        elif cfg.output_activation == "sine":
-            h = np.sin(w0 * z)
+    for k, b in enumerate(mlp.biases):
+        if k > 0:
+            z = h @ mlp.weights[k]
+        z += b
+        if k < last or cfg.output_activation == "sine":
+            z *= w0
+            h = np.sin(z)
         elif cfg.output_activation == "relu":
             h = np.maximum(z, 0.0)
         else:
             h = z
+        zs.append(z)
         hs.append(h)
     return h, (hs, zs)
 
 
-def backward(mlp: Mlp, tape, grad_output: np.ndarray):
-    """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...])."""
+def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True):
+    """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]).
+
+    With `input_grad` False the input gradient is not formed and None is
+    returned for it. For a tape recorded from `z0`, the first element is the
+    gradient wrt the first pre-activation and gW0 is None: the caller that
+    formed z0 also forms its adjoint.
+    """
     if tape is None:
         raise RuntimeError("backward called without a recorded forward tape")
     hs, zs = tape
@@ -99,12 +120,16 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray):
     for k in range(last, -1, -1):
         z = zs[k]
         if k < last or cfg.output_activation == "sine":
-            gz = g * (w0 * np.cos(w0 * z))
+            gz = np.cos(z)
+            gz *= w0
+            gz *= g
         elif cfg.output_activation == "relu":
             gz = g * (z > 0.0)
         else:
             gz = g
-        param_grads[2 * k] = hs[k].T @ gz
         param_grads[2 * k + 1] = gz.sum(axis=0)
-        g = gz @ mlp.weights[k].T
+        if k == 0 and hs[0] is None:
+            return gz, param_grads
+        param_grads[2 * k] = hs[k].T @ gz
+        g = gz @ mlp.weights[k].T if k > 0 or input_grad else None
     return g, param_grads

@@ -151,54 +151,95 @@ def decode_node(model: GnnModel, latent_nodes: np.ndarray, y_graph: np.ndarray,
     return nn.forward(model.decoder_node, np.hstack([latent_nodes, y_graph[seg_ids]]))
 
 
+def _incidence(index: np.ndarray, num_nodes: int):
+    """(N, E) 0/1 matrix with a one at (index[j], j): a scatter-add as a matmul."""
+    num_e = len(index)
+    return sparse.csr_matrix((np.ones(num_e), (index, np.arange(num_e))),
+                             shape=(num_nodes, num_e))
+
+
+def _first_layer(w: np.ndarray, blocks) -> np.ndarray:
+    """x @ w for x the column concatenation of `blocks`, without forming x.
+
+    A block is (array, rows) and stands for array[rows], or for the array
+    itself when rows is None. Each block meets its own rows of w before any
+    gather, so a node-side block costs a product over nodes, not edges.
+    """
+    z, lo = None, 0
+    for x, rows in blocks:
+        hi = lo + x.shape[1]
+        p = x @ w[lo:hi]
+        if rows is not None:
+            p = np.take(p, rows, axis=0)
+        if z is None:
+            z = p
+        else:
+            z += p
+        lo = hi
+    return z
+
+
+def _first_layer_adjoint(w: np.ndarray, blocks, sums):
+    """Adjoint of `_first_layer`.
+
+    sums[i] is the pre-activation gradient summed onto the rows of block i's
+    array (the gradient itself for a block with rows None). Returns the
+    gradient wrt w and the gradient wrt each block's array.
+    """
+    gw = np.concatenate([x.T @ g for (x, _), g in zip(blocks, sums)])
+    gxs, lo = [], 0
+    for (x, _), g in zip(blocks, sums):
+        hi = lo + x.shape[1]
+        gxs.append(g @ w[lo:hi].T)
+        lo = hi
+    return gw, gxs
+
+
 def forward(model: GnnModel, graph_or_batch):
-    """Full forward pass.
+    """Full forward pass, the same function as the staged `encode`,
+    `message_passing_step` and `decode_*` but with every concatenated MLP
+    input ([e|v_s|v_r], [v|agg], [v|y_graph[seg]]) kept as blocks.
 
     Returns (node_out or None, graph_out (m, d_G), tape). graph_out for a
     node-level task is the internal pooled context, not a supervised output.
+    The tape holds each MLP's own tape and, for the blockwise MLPs, the
+    blocks (the latent arrays and the gather indices) in place of the
+    concatenated input; the first-layer gradient is formed from them.
     """
     batch = _as_batch(graph_or_batch)
     g = batch.graph
     cfg = model.config
     s, r = g.senders, g.receivers
-    nl = cfg.latent_size
-    num_e = g.num_edges
-
-    # incidence matrices make scatter-adds a single sparse matmul
-    ones = np.ones(num_e)
-    recv_mat = sparse.csr_matrix((ones, (r, np.arange(num_e))),
-                                 shape=(g.num_nodes, num_e))
-    send_mat = sparse.csr_matrix((ones, (s, np.arange(num_e))),
-                                 shape=(g.num_nodes, num_e))
+    recv_mat = _incidence(r, g.num_nodes)
 
     e, tape_ee = nn.forward_tape(model.encoder_edge, g.edge_features)
     v, tape_ev = nn.forward_tape(model.encoder_node, g.node_features)
 
     step_tapes = []
     for k in range(cfg.steps):
-        edge_in = np.concatenate([e, v[s], v[r]], axis=1)
-        ue, tape_pe = nn.forward_tape(model.processor_edge[k], edge_in)
+        pe, pn = model.processor_edge[k], model.processor_node[k]
+        edge_blocks = [(e, None), (v, s), (v, r)]
+        ue, tape_pe = nn.forward_tape(pe, None, z0=_first_layer(pe.weights[0], edge_blocks))
         agg = recv_mat @ ue
-        node_in = np.concatenate([v, agg], axis=1)
-        uv, tape_pn = nn.forward_tape(model.processor_node[k], node_in)
+        node_blocks = [(v, None), (agg, None)]
+        uv, tape_pn = nn.forward_tape(pn, None, z0=_first_layer(pn.weights[0], node_blocks))
         e = e + ue
         v = v + uv
-        step_tapes.append((tape_pe, tape_pn))
+        step_tapes.append((tape_pe, edge_blocks, tape_pn, node_blocks))
 
     pooled = _segment_mean(v, batch.segments)
     y_graph, tape_dg = nn.forward_tape(model.decoder_graph, pooled)
 
     y_node = None
     tape_dn = None
-    seg_ids = None
     if model.decoder_node is not None:
-        seg_ids = batch.segment_ids()
-        node_in2 = np.concatenate([v, y_graph[seg_ids]], axis=1)
-        y_node, tape_dn = nn.forward_tape(model.decoder_node, node_in2)
+        dn = model.decoder_node
+        dn_blocks = [(v, None), (y_graph, batch.segment_ids())]
+        y_node, dn_tape = nn.forward_tape(dn, None, z0=_first_layer(dn.weights[0], dn_blocks))
+        tape_dn = (dn_tape, dn_blocks)
 
     tape = {
-        "batch": batch, "seg_ids": seg_ids,
-        "recv_mat": recv_mat, "send_mat": send_mat,
+        "batch": batch, "recv_mat": recv_mat,
         "tape_ee": tape_ee, "tape_ev": tape_ev,
         "step_tapes": step_tapes, "tape_dg": tape_dg, "tape_dn": tape_dn,
     }
@@ -206,11 +247,16 @@ def forward(model: GnnModel, graph_or_batch):
 
 
 def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
-    """Adjoint pass; returns parameter gradients in model.parameters() order."""
+    """Adjoint pass; returns parameter gradients in model.parameters() order.
+
+    Walks the tape of `forward` in reverse. A blockwise MLP's backward stops
+    at its first pre-activation gradient gz0; the sender and receiver sums of
+    gz0 (one incidence matmul each) then give the first-layer weight blocks
+    and the node gradients at node level.
+    """
     batch = tape["batch"]
     g = batch.graph
     cfg = model.config
-    s, r = g.senders, g.receivers
     nl = cfg.latent_size
 
     gy_graph = np.zeros((batch.num_members, cfg.graph_output_size))
@@ -223,33 +269,44 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     grads_dn = None
     gv = np.zeros((g.num_nodes, nl))
     if model.decoder_node is not None and grad_node_out is not None:
-        gin2, grads_dn = nn.backward(model.decoder_node, tape["tape_dn"], grad_node_out)
-        gv += gin2[:, :nl]
-        gy_graph += np.add.reduceat(gin2[:, nl:], starts, axis=0)
+        tape_dn, dn_blocks = tape["tape_dn"]
+        gz, grads_dn = nn.backward(model.decoder_node, tape_dn, grad_node_out)
+        grads_dn[0], (gv_dn, gy_dn) = _first_layer_adjoint(
+            model.decoder_node.weights[0], dn_blocks,
+            [gz, np.add.reduceat(gz, starts, axis=0)])
+        gv += gv_dn
+        gy_graph += gy_dn
     elif model.decoder_node is not None:
         grads_dn = [np.zeros_like(p) for p in model.decoder_node.parameters()]
 
     gpooled, grads_dg = nn.backward(model.decoder_graph, tape["tape_dg"], gy_graph)
     gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
 
-    recv_mat, send_mat = tape["recv_mat"], tape["send_mat"]
+    r = g.receivers
+    recv_mat, send_mat = tape["recv_mat"], _incidence(g.senders, g.num_nodes)
     ge = np.zeros((g.num_edges, nl))
     step_grads = [None] * cfg.steps
     for k in range(cfg.steps - 1, -1, -1):
-        tape_pe, tape_pn = tape["step_tapes"][k]
+        tape_pe, edge_blocks, tape_pn, node_blocks = tape["step_tapes"][k]
+        pe, pn = model.processor_edge[k], model.processor_node[k]
         # v_next = v + uv; e_next = e + ue; agg feeds uv, e/v feed ue
-        gnode_in, grads_pn = nn.backward(model.processor_node[k], tape_pn, gv)
-        gv_prev = gv + gnode_in[:, :nl]
-        gue = ge + gnode_in[:, nl:][r]
-        gedge_in, grads_pe = nn.backward(model.processor_edge[k], tape_pe, gue)
-        ge = ge + gedge_in[:, :nl]
-        gv_prev += send_mat @ gedge_in[:, nl:2 * nl]
-        gv_prev += recv_mat @ gedge_in[:, 2 * nl:]
+        gz, grads_pn = nn.backward(pn, tape_pn, gv)
+        grads_pn[0], (gv_pn, gagg) = _first_layer_adjoint(
+            pn.weights[0], node_blocks, [gz, gz])
+        gv_prev = gv + gv_pn
+        gue = np.take(gagg, r, axis=0)
+        gue += ge
+        gz, grads_pe = nn.backward(pe, tape_pe, gue)
+        grads_pe[0], (ge_pe, gv_s, gv_r) = _first_layer_adjoint(
+            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz])
+        ge += ge_pe
+        gv_prev += gv_s
+        gv_prev += gv_r
         gv = gv_prev
         step_grads[k] = (grads_pe, grads_pn)
 
-    _, grads_ee = nn.backward(model.encoder_edge, tape["tape_ee"], ge)
-    _, grads_ev = nn.backward(model.encoder_node, tape["tape_ev"], gv)
+    _, grads_ee = nn.backward(model.encoder_edge, tape["tape_ee"], ge, input_grad=False)
+    _, grads_ev = nn.backward(model.encoder_node, tape["tape_ev"], gv, input_grad=False)
 
     out = list(grads_ee) + list(grads_ev)
     for grads_pe, grads_pn in step_grads:

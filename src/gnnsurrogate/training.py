@@ -116,6 +116,15 @@ class TrainConfig:
             raise ValueError("l1_coefficient must be >= 0")
         if self.task not in ("node_level", "graph_level"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.lr_min is not None and not (0.0 <= self.lr_min <= self.initial_lr):
+            raise ValueError(f"lr_min {self.lr_min} outside [0, initial_lr]")
+
+    def plateau_schedule(self) -> PlateauSchedule:
+        """The learning-rate schedule a fresh training run starts from."""
+        lr_min = self.lr_min if self.lr_min is not None else self.initial_lr / 64
+        return PlateauSchedule(lr=self.initial_lr, factor=self.plateau_factor,
+                               patience=self.plateau_patience,
+                               min_delta=self.plateau_min_delta, lr_min=lr_min)
 
 
 @dataclass
@@ -162,10 +171,7 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
     if adam_state is None:
         adam_state = AdamState.for_parameters(params)
     if schedule is None:
-        lr_min = config.lr_min if config.lr_min is not None else config.initial_lr / 64
-        schedule = PlateauSchedule(lr=config.initial_lr, factor=config.plateau_factor,
-                                   patience=config.plateau_patience,
-                                   min_delta=config.plateau_min_delta, lr_min=lr_min)
+        schedule = config.plateau_schedule()
     log = TrainLog()
     n = len(graphs)
     t0 = time.perf_counter()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,12 @@ def featurized_samples(seed, count, **spec_kw):
     kind = "airfoil" if spec.family == "chain" else "feature_design"
     feat = gs.Featurizer(kind).fit(recs)
     return feat, feat.transform_all(recs)
+
+
+def untimed_log(path):
+    """A training log's records without `wall_time`, the one field that is
+    measured rather than computed; checks that every record has it."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        assert rec.pop("wall_time") >= 0.0
+    return records

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import gnnsurrogate as gs
 from gnnsurrogate.cli import cli_main
+from conftest import untimed_log
 
 GEN_INI = """\
 [synthetic]
@@ -93,7 +96,6 @@ class TestTrainEval:
         assert cli_main(["train", "--config", str(train_cfg), "--data", str(data),
                          "--out", str(out2), "--resume", str(out)]) == 0
         log_lines = (tmp_path / "m2.ckpt.log").read_text().strip().splitlines()
-        import json
         assert json.loads(log_lines[0])["epoch"] == 3  # continues the epoch count
 
     def test_determinism_across_runs(self, workspace):
@@ -101,7 +103,8 @@ class TestTrainEval:
         a = train(tmp_path, train_cfg, data, "a.ckpt")
         b = train(tmp_path, train_cfg, data, "b.ckpt")
         assert a.read_bytes() == b.read_bytes()
-        assert (tmp_path / "a.ckpt.log").read_bytes() == (tmp_path / "b.ckpt.log").read_bytes()
+        assert (untimed_log(tmp_path / "a.ckpt.log")
+                == untimed_log(tmp_path / "b.ckpt.log"))
 
     def test_graph_level_training(self, workspace):
         tmp_path, train_cfg, data = workspace
@@ -147,3 +150,59 @@ class TestPredictInspect:
 
     def test_inspect_without_arguments_fails(self):
         assert cli_main(["inspect"]) != 0
+
+
+class TestTrainingLogAndSchedule:
+    def test_log_records_wall_time(self, workspace):
+        tmp_path, train_cfg, data = workspace
+        train(tmp_path, train_cfg, data)
+        lines = (tmp_path / "m.ckpt.log").read_text().strip().splitlines()
+        times = [json.loads(line)["wall_time"] for line in lines]
+        assert len(times) == 3 and times[0] > 0.0 and times == sorted(times)
+
+    def test_lr_min_from_config_floors_the_schedule(self, workspace):
+        # min_delta 0.99 makes every epoch after the first a bad one, so with
+        # patience 1 the rate halves each epoch down to lr_min
+        tmp_path, _, data = workspace
+        cfg = tmp_path / "floor.ini"
+        cfg.write_text(TRAIN_INI.replace("epochs = 3", "epochs = 5")
+                       + "plateau_patience = 1\nplateau_min_delta = 0.99\nlr_min = 2e-4\n")
+        out = train(tmp_path, cfg, data, "floor.ckpt")
+        lines = (tmp_path / "floor.ckpt.log").read_text().strip().splitlines()
+        lrs = [json.loads(line)["lr"] for line in lines]
+        assert lrs == [5e-4, 5e-4, 2.5e-4, 2e-4, 2e-4]
+        _, _, resume = gs.load_checkpoint(out)
+        assert resume.schedule.lr_min == 2e-4
+
+    def test_lr_min_outside_range_exits_2(self, workspace):
+        tmp_path, _, data = workspace
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TRAIN_INI + "lr_min = 1e-3\n")
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "x.ckpt")]) == 2
+
+
+class TestBadRecords:
+    @pytest.mark.parametrize("corrupt", ["nan_position", "inf_node_target",
+                                         "nan_graph_target", "short_node_target"])
+    def test_train_and_eval_exit_2(self, workspace, capsys, corrupt):
+        tmp_path, train_cfg, data = workspace
+        out = train(tmp_path, train_cfg, data)
+        recs = gs.read_dataset(data)
+        bad = recs[2]
+        if corrupt == "nan_position":
+            bad.positions[1, 0] = np.nan
+        elif corrupt == "inf_node_target":
+            bad.node_target[0] = np.inf
+        elif corrupt == "nan_graph_target":
+            bad.graph_target[0] = np.nan
+        else:
+            bad.node_target = bad.node_target[:-1]
+        bad_data = tmp_path / "bad.jsonl"
+        gs.write_dataset(recs, bad_data)
+        capsys.readouterr()
+        assert cli_main(["eval", "--ckpt", str(out), "--data", str(bad_data)]) == 2
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad_data),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert bad.graph_id in err and "Traceback" not in err

@@ -59,6 +59,41 @@ class TestDatasetRoundTrip:
             gs.read_dataset(path)
 
 
+class TestRecordValidation:
+    def records(self):
+        return gs.generate_synthetic(gs.SyntheticSpec(seed=6, count=3, min_nodes=5,
+                                                      max_nodes=8, family="chain"))
+
+    @pytest.mark.parametrize("field", ["positions", "node_target", "graph_target"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_record(self, tmp_path, field, value):
+        recs = self.records()
+        feat = gs.Featurizer("airfoil").fit(recs)
+        getattr(recs[1], field).flat[0] = value
+        path = tmp_path / "d.jsonl"
+        gs.write_dataset(recs, path)
+        for rec in (recs[1], gs.read_dataset(path)[1]):
+            with pytest.raises(DatasetFormatError, match=f"{rec.graph_id}.*{field}"):
+                gs.Featurizer("airfoil").fit([recs[0], rec])
+            with pytest.raises(DatasetFormatError, match=f"{rec.graph_id}.*{field}"):
+                feat.transform(rec)
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_node_target_row_count_must_match(self, rows):
+        recs = self.records()
+        feat = gs.Featurizer("airfoil").fit(recs)
+        t = recs[0].node_target
+        recs[0].node_target = t[:-1] if rows < 0 else np.append(t, 0.0)
+        for call in (feat.transform, lambda rec: gs.Featurizer("airfoil").fit([rec])):
+            with pytest.raises(DatasetFormatError, match=f"{recs[0].graph_id}.*node_target"):
+                call(recs[0])
+
+    def test_two_column_node_target_accepted(self):
+        rec = self.records()[0]
+        rec.node_target = np.column_stack([rec.node_target, rec.node_target])
+        assert rec.validate() is rec
+
+
 SELIG_SAMPLE = """EXAMPLE AIRFOIL
 1.000  0.001
 0.500  0.060

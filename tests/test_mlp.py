@@ -141,3 +141,82 @@ class TestBackward:
         _, tape = forward_tape(mlp, np.array([[0.0]]))
         gx, _ = backward(mlp, tape, np.array([[1.0]]))
         np.testing.assert_allclose(gx, [[3.0]])  # d/dx sin(3x) at 0
+
+
+def seed_formula(mlp, x, g_out):
+    """Layer-by-layer forward and backward written as the closed-form
+    expressions, not in place: sin(w0*(h@W + b)) forward, g*(w0*cos(w0*z))
+    backward. Returns (layer inputs, output, per-layer gz, input gradient)."""
+    cfg = mlp.config
+    w0 = cfg.sine_frequency
+    last = len(mlp.weights) - 1
+    hs, zs = [x], []
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = hs[-1] @ w + b
+        zs.append(z)
+        if k < last or cfg.output_activation == "sine":
+            hs.append(np.sin(w0 * z))
+        elif cfg.output_activation == "relu":
+            hs.append(np.maximum(z, 0.0))
+        else:
+            hs.append(z)
+    gzs = [None] * (last + 1)
+    g = g_out
+    for k in range(last, -1, -1):
+        if k < last or cfg.output_activation == "sine":
+            gzs[k] = g * (w0 * np.cos(w0 * zs[k]))
+        elif cfg.output_activation == "relu":
+            gzs[k] = g * (zs[k] > 0.0)
+        else:
+            gzs[k] = g
+        g = gzs[k] @ mlp.weights[k].T
+    return hs, hs[-1], gzs, g
+
+
+class TestInPlaceChainExact:
+    @pytest.mark.parametrize("act", ["linear", "relu", "sine"])
+    @pytest.mark.parametrize("w0", [1.0, 0.5, 3.0])
+    def test_bit_identical_to_closed_form(self, act, w0):
+        rng = np.random.default_rng(11)
+        cfg = MlpConfig(input_size=4, depth=3, width=6, output_size=2,
+                        output_activation=act, sine_frequency=w0)
+        mlp = he_init(cfg, rng)
+        for b in mlp.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(size=(9, 4))
+        g_out = rng.normal(size=(9, 2))
+        hs_ref, y_ref, gzs, gx_ref = seed_formula(mlp, x, g_out)
+
+        y, tape = forward_tape(mlp, x)
+        np.testing.assert_array_equal(y, y_ref)
+        for h, h_ref in zip(tape[0], hs_ref):
+            np.testing.assert_array_equal(h, h_ref)
+        gx, grads = backward(mlp, tape, g_out)
+        np.testing.assert_array_equal(gx, gx_ref)
+        for k, gz in enumerate(gzs):
+            np.testing.assert_array_equal(grads[2 * k], hs_ref[k].T @ gz)
+            np.testing.assert_array_equal(grads[2 * k + 1], gz.sum(axis=0))
+
+        # from a caller-formed first product, backward returns layer 0's gz
+        y2, tape2 = forward_tape(mlp, None, z0=x @ mlp.weights[0])
+        np.testing.assert_array_equal(y2, y_ref)
+        gz0, grads2 = backward(mlp, tape2, g_out)
+        np.testing.assert_array_equal(gz0, gzs[0])
+        assert grads2[0] is None
+        for a, b in zip(grads2[1:], grads[1:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_input_gradient_skipped_on_request(self):
+        mlp = he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2), 3)
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        _, tape = forward_tape(mlp, x)
+        gx, grads = backward(mlp, tape, np.ones((5, 2)), input_grad=False)
+        _, full = backward(mlp, tape, np.ones((5, 2)))
+        assert gx is None
+        for a, b in zip(grads, full):
+            np.testing.assert_array_equal(a, b)
+
+    def test_first_product_width_checked(self):
+        mlp = he_init(MlpConfig(input_size=3, depth=1, width=4, output_size=1), 0)
+        with pytest.raises(ValueError):
+            forward_tape(mlp, None, z0=np.zeros((2, 3)))

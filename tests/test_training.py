@@ -85,6 +85,16 @@ class TestPlateauSchedule:
             sched.update(1.0)
         assert sched.lr == 1e-4
 
+    def test_built_from_train_config(self):
+        cfg = tr.TrainConfig(initial_lr=1e-3, plateau_patience=7, plateau_factor=0.25)
+        sched = cfg.plateau_schedule()
+        assert (sched.lr, sched.patience, sched.factor, sched.lr_min) == (1e-3, 7, 0.25, 1e-3 / 64)
+        assert tr.TrainConfig(initial_lr=1e-3, lr_min=2e-4).plateau_schedule().lr_min == 2e-4
+
+    def test_lr_min_above_initial_lr_rejected(self):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(initial_lr=1e-3, lr_min=2e-3)
+
     def test_never_increases(self):
         rng = np.random.default_rng(0)
         sched = tr.PlateauSchedule(lr=5e-4, patience=2)
