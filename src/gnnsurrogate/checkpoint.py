@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -38,19 +40,28 @@ def _pack_arrays(arrays) -> bytes:
     return b"".join(chunks)
 
 
-def _unpack_arrays(buf: bytes) -> list[np.ndarray]:
-    (count,) = struct.unpack_from("<Q", buf, 0)
-    offset = 8
-    arrays = []
-    for _ in range(count):
-        (ndim,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}Q", buf, offset) if ndim else ()
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        arrays.append(arr.copy())
+def _unpack_arrays(buf: bytes, section: str) -> list[np.ndarray]:
+    """Inverse of `_pack_arrays`; a payload that does not hold exactly the
+    arrays its headers describe raises CheckpointError naming `section`."""
+    offset, arrays = 8, []
+    try:
+        (count,) = struct.unpack_from("<Q", buf, 0)
+        for _ in range(count):
+            (ndim,) = struct.unpack_from("<B", buf, offset)
+            shape = struct.unpack_from(f"<{ndim}Q", buf, offset + 1)
+            offset += 1 + 8 * ndim
+            size = math.prod(shape)
+            if offset + 8 * size > len(buf):
+                raise CheckpointError(f"section {section!r}: array {len(arrays)} "
+                                      f"overruns the section")
+            arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
+            offset += 8 * size
+            arrays.append(arr.copy())
+    except struct.error as exc:
+        raise CheckpointError(f"section {section!r}: truncated array header") from exc
+    if offset != len(buf):
+        raise CheckpointError(f"section {section!r}: {len(buf) - offset} bytes "
+                              f"after its last array")
     return arrays
 
 
@@ -70,7 +81,9 @@ def _read_sections(buf: bytes, offset: int) -> dict:
             raise CheckpointError("truncated checkpoint (section header)")
         (name_len,) = struct.unpack_from("<I", buf, offset)
         offset += 4
-        name = buf[offset:offset + name_len].decode()
+        if offset + name_len + 8 > end:
+            raise CheckpointError("truncated checkpoint (section header)")
+        name = buf[offset:offset + name_len].decode(errors="replace")
         offset += name_len
         (payload_len,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
@@ -81,23 +94,35 @@ def _read_sections(buf: bytes, offset: int) -> dict:
     return sections
 
 
+def _section(sections: dict, name: str) -> bytes:
+    if name not in sections:
+        raise CheckpointError(f"checkpoint has no {name!r} section")
+    return sections[name]
+
+
+def _json_section(sections: dict, name: str) -> dict:
+    try:
+        obj = json.loads(_section(sections, name).decode())
+    except ValueError as exc:    # bad UTF-8 or JSON
+        raise CheckpointError(f"section {name!r}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"section {name!r} is not a JSON object")
+    return obj
+
+
+def _vector(model: GnnModel, arrays, section: str) -> np.ndarray:
+    """Per-parameter arrays as one vector laid out like model.flat."""
+    try:
+        return model.flatten(arrays)
+    except ValueError as exc:
+        raise CheckpointError(f"section {section!r}: {exc}") from exc
+
+
 def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
                     resume: TrainResumeState | None = None):
     cfg = model.config
     meta = {
-        "model": {
-            "node_input_size": cfg.node_input_size,
-            "edge_input_size": cfg.edge_input_size,
-            "latent_size": cfg.latent_size,
-            "steps": cfg.steps,
-            "depth": cfg.depth,
-            "width": cfg.width,
-            "graph_output_size": cfg.graph_output_size,
-            "node_output_size": cfg.node_output_size,
-            "graph_output_activation": cfg.graph_output_activation,
-            "node_output_activation": cfg.node_output_activation,
-            "sine_frequency": cfg.sine_frequency,
-        },
+        "model": dataclasses.asdict(cfg),
         "featurizer": {
             "encoding_kind": featurizer.encoding_kind,
             "cell_type_vocabulary": list(featurizer.cell_type_vocabulary),
@@ -126,50 +151,74 @@ def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
                        "lr_min": sched.lr_min, "best": sched.best,
                        "bad_epochs": sched.bad_epochs, "epoch": resume.epoch}
             _write_section(fh, "resume_meta", json.dumps(scalars).encode())
-            _write_section(fh, "resume_arrays", _pack_arrays(resume.adam.m + resume.adam.v))
+            _write_section(fh, "resume_arrays", _pack_arrays(
+                model.split(resume.adam.m) + model.split(resume.adam.v)))
 
 
 def load_checkpoint(path):
-    """Returns (model, featurizer, resume_state_or_None)."""
+    """Returns (model, featurizer, resume_state_or_None). Bytes that are not
+    a whole checkpoint of this version raise CheckpointError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"bad magic {buf[:len(MAGIC)]!r}, expected {MAGIC!r}")
+    if len(buf) < len(MAGIC) + 4:
+        raise CheckpointError("truncated checkpoint (version)")
     (version,) = struct.unpack_from("<I", buf, len(MAGIC))
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version}, expected {VERSION}")
     sections = _read_sections(buf, len(MAGIC) + 4)
-    meta = json.loads(sections["meta"].decode())
+    meta = _json_section(sections, "meta")
+    required = ["params", "normalizers"]
+    if meta.get("has_resume"):
+        required += ["resume_meta", "resume_arrays"]
+    for name in required:
+        _section(sections, name)
 
-    cfg = GnnConfig(**meta["model"])
-    model = build_model(cfg, seed=0)
-    model.set_parameters(_unpack_arrays(sections["params"]))
+    try:
+        cfg = GnnConfig(**meta["model"])
+        model = build_model(cfg, seed=0)
+        fmeta = meta["featurizer"]
+        featurizer = Featurizer(
+            encoding_kind=fmeta["encoding_kind"],
+            cell_type_vocabulary=tuple(fmeta["cell_type_vocabulary"]),
+            node_target_mode=fmeta["node_target_mode"],
+            use_speed_squared=fmeta["use_speed_squared"],
+        )
+        has_target_norm = fmeta["has_target_norm"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"section 'meta': bad model or featurizer entry: {exc!r}") from exc
+    model.flat[:] = _vector(model, _unpack_arrays(sections["params"], "params"), "params")
 
-    fmeta = meta["featurizer"]
-    featurizer = Featurizer(
-        encoding_kind=fmeta["encoding_kind"],
-        cell_type_vocabulary=tuple(fmeta["cell_type_vocabulary"]),
-        node_target_mode=fmeta["node_target_mode"],
-        use_speed_squared=fmeta["use_speed_squared"],
-    )
-    norm_arrays = _unpack_arrays(sections["normalizers"])
+    norm_arrays = _unpack_arrays(sections["normalizers"], "normalizers")
+    expected = 6 if has_target_norm else 4
+    if len(norm_arrays) != expected:
+        raise CheckpointError(f"section 'normalizers': {len(norm_arrays)} arrays, "
+                              f"expected {expected}")
     featurizer.node_norm = Normalizer(shift=norm_arrays[0], scale=norm_arrays[1])
     featurizer.edge_norm = Normalizer(shift=norm_arrays[2], scale=norm_arrays[3])
-    if fmeta["has_target_norm"]:
+    if has_target_norm:
         featurizer.target_norm = Normalizer(shift=norm_arrays[4], scale=norm_arrays[5])
 
     resume = None
     if meta.get("has_resume"):
-        scalars = json.loads(sections["resume_meta"].decode())
-        arrays = _unpack_arrays(sections["resume_arrays"])
-        half = len(arrays) // 2
-        adam = AdamState(m=arrays[:half], v=arrays[half:], t=scalars["t"],
-                         beta1=scalars["beta1"], beta2=scalars["beta2"],
-                         eps=scalars["eps"])
-        sched = PlateauSchedule(lr=scalars["lr"], factor=scalars["factor"],
-                                patience=scalars["patience"],
-                                min_delta=scalars["min_delta"],
-                                lr_min=scalars["lr_min"], best=scalars["best"],
-                                bad_epochs=scalars["bad_epochs"])
-        resume = TrainResumeState(adam=adam, schedule=sched, epoch=scalars["epoch"])
+        scalars = _json_section(sections, "resume_meta")
+        arrays = _unpack_arrays(sections["resume_arrays"], "resume_arrays")
+        half = len(model.shapes)
+        if len(arrays) != 2 * half:
+            raise CheckpointError(f"section 'resume_arrays': {len(arrays)} arrays, "
+                                  f"expected {2 * half} (Adam m and v)")
+        try:
+            adam = AdamState(m=_vector(model, arrays[:half], "resume_arrays (Adam m)"),
+                             v=_vector(model, arrays[half:], "resume_arrays (Adam v)"),
+                             t=scalars["t"], beta1=scalars["beta1"],
+                             beta2=scalars["beta2"], eps=scalars["eps"])
+            sched = PlateauSchedule(lr=scalars["lr"], factor=scalars["factor"],
+                                    patience=scalars["patience"],
+                                    min_delta=scalars["min_delta"],
+                                    lr_min=scalars["lr_min"], best=scalars["best"],
+                                    bad_epochs=scalars["bad_epochs"])
+            resume = TrainResumeState(adam=adam, schedule=sched, epoch=scalars["epoch"])
+        except KeyError as exc:
+            raise CheckpointError(f"section 'resume_meta': no entry {exc}") from exc
     return model, featurizer, resume

@@ -175,13 +175,12 @@ def cmd_inspect(args) -> int:
     if args.ckpt:
         model, featurizer, resume = ckpt.load_checkpoint(args.ckpt)
         cfg = model.config
-        n_params = sum(p.size for p in model.parameters())
         print(f"{args.ckpt}: {cfg.task} model, encoding {featurizer.encoding_kind}, "
               f"latent {cfg.latent_size}, steps {cfg.steps}, "
               f"depth {cfg.depth}, width {cfg.width}, "
               f"node features {featurizer.node_feature_width}, "
               f"edge features {featurizer.edge_feature_width}, "
-              f"{n_params} parameters"
+              f"{model.flat.size} parameters"
               + (", resumable" if resume else ""))
     if not args.data and not args.ckpt:
         raise ValueError("inspect needs --data and/or --ckpt")

@@ -354,6 +354,10 @@ class Featurizer:
         if rec.node_target is not None:
             target_phys = rec.node_target.reshape(topo.num_nodes, -1)
             if self.node_target_mode == "zscore":
+                if self.target_norm is None:
+                    raise DatasetFormatError(
+                        f"record {rec.graph_id}: has a node_target, but the featurizer "
+                        f"was fitted on records without one, so it has no z-score")
                 node_targets = self.target_norm.apply(target_phys)
             elif self.node_target_mode == "pressure":
                 u0, v0 = rec.freestream

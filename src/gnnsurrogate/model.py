@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -54,6 +54,11 @@ class GnnConfig:
 
 @dataclass
 class GnnModel:
+    """The model's MLP blocks, whose weights and biases are views into one
+    contiguous float64 vector `flat` in parameters() order. Parameter i is
+    flat[offsets[i]:offsets[i + 1]] reshaped to shapes[i]. Writes through a
+    view or into `flat` change the model; nothing may rebind them."""
+
     config: GnnConfig
     encoder_edge: Mlp
     encoder_node: Mlp
@@ -61,31 +66,64 @@ class GnnModel:
     processor_node: list[Mlp]
     decoder_graph: Mlp
     decoder_node: Mlp | None = None
+    flat: np.ndarray = field(init=False, repr=False)
+    offsets: list[int] = field(init=False, repr=False)
+    shapes: list[tuple] = field(init=False, repr=False)
 
-    def mlps(self) -> list[Mlp]:
-        out = [self.encoder_edge, self.encoder_node]
-        for pe, pn in zip(self.processor_edge, self.processor_node):
-            out.extend([pe, pn])
-        out.append(self.decoder_graph)
-        if self.decoder_node is not None:
-            out.append(self.decoder_node)
-        return out
-
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for m in self.mlps():
-            params.extend(m.parameters())
-        return params
-
-    def set_parameters(self, values: list[np.ndarray]):
-        i = 0
+    def __post_init__(self):
+        params = [p for m in self.mlps() for p in m.parameters()]
+        self.shapes = [p.shape for p in params]
+        self.offsets = np.cumsum([0] + [p.size for p in params]).tolist()
+        self.flat = np.concatenate([p.ravel() for p in params])
+        views = iter(self.split(self.flat))
         for m in self.mlps():
             for k in range(len(m.weights)):
-                m.weights[k] = values[i].reshape(m.weights[k].shape)
-                m.biases[k] = values[i + 1].reshape(m.biases[k].shape)
-                i += 2
-        if i != len(values):
-            raise ValueError(f"expected {i} parameter arrays, got {len(values)}")
+                m.weights[k] = next(views)
+                m.biases[k] = next(views)
+
+    def named_mlps(self) -> list[tuple[str, Mlp]]:
+        out = [("encoder_edge", self.encoder_edge), ("encoder_node", self.encoder_node)]
+        for k, (pe, pn) in enumerate(zip(self.processor_edge, self.processor_node)):
+            out += [(f"processor_edge[{k}]", pe), (f"processor_node[{k}]", pn)]
+        out.append(("decoder_graph", self.decoder_graph))
+        if self.decoder_node is not None:
+            out.append(("decoder_node", self.decoder_node))
+        return out
+
+    def mlps(self) -> list[Mlp]:
+        return [m for _, m in self.named_mlps()]
+
+    def parameter_names(self) -> list[str]:
+        """'<mlp> W<k>' and '<mlp> b<k>', in parameters() order."""
+        return [f"{name} {kind}{k}" for name, m in self.named_mlps()
+                for k in range(len(m.weights)) for kind in "Wb"]
+
+    def parameters(self) -> list[np.ndarray]:
+        """One view of `flat` per weight and bias."""
+        return self.split(self.flat)
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like `flat`, one per parameter."""
+        return [vector[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(self.offsets[:-1], self.offsets[1:], self.shapes)]
+
+    def flatten(self, values) -> np.ndarray:
+        """One array per parameter, in parameters() order, as a new vector
+        laid out like `flat`. A wrong count or shape raises ValueError naming
+        the first parameter that differs."""
+        shapes = [np.shape(a) for a in values]
+        if shapes != self.shapes:
+            if len(shapes) != len(self.shapes):
+                raise ValueError(f"expected {len(self.shapes)} parameter arrays, "
+                                 f"got {len(shapes)}")
+            i = next(i for i, (a, b) in enumerate(zip(shapes, self.shapes)) if a != b)
+            raise ValueError(f"parameter {i} ({self.parameter_names()[i]}) has shape "
+                             f"{shapes[i]}, expected {self.shapes[i]}")
+        return np.concatenate([np.ravel(a) for a in values])
+
+    def set_parameters(self, values: list[np.ndarray]):
+        """Copy one array per parameter into `flat`; the views stay bound."""
+        self.flat[:] = self.flatten(values)
 
 
 def build_model(config: GnnConfig, seed) -> GnnModel:
@@ -247,7 +285,8 @@ def forward(model: GnnModel, graph_or_batch):
 
 
 def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
-    """Adjoint pass; returns parameter gradients in model.parameters() order.
+    """Adjoint pass; returns the parameter gradient as one vector laid out
+    like `model.flat` (`model.split` gives it per parameter).
 
     Walks the tape of `forward` in reverse. A blockwise MLP's backward stops
     at its first pre-activation gradient gz0; the sender and receiver sums of
@@ -308,14 +347,13 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     _, grads_ee = nn.backward(model.encoder_edge, tape["tape_ee"], ge, input_grad=False)
     _, grads_ev = nn.backward(model.encoder_node, tape["tape_ev"], gv, input_grad=False)
 
-    out = list(grads_ee) + list(grads_ev)
+    out = grads_ee + grads_ev
     for grads_pe, grads_pn in step_grads:
-        out.extend(grads_pe)
-        out.extend(grads_pn)
-    out.extend(grads_dg)
+        out += grads_pe + grads_pn
+    out += grads_dg
     if grads_dn is not None:
-        out.extend(grads_dn)
-    return out
+        out += grads_dn
+    return np.concatenate([g.ravel() for g in out])
 
 
 def predict(model: GnnModel, graph_or_batch):

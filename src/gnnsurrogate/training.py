@@ -27,23 +27,34 @@ def mae_loss(predictions: np.ndarray, targets: np.ndarray):
     return value, grad
 
 
-def l1_penalty(parameters, coefficient: float):
-    """lambda * sum |theta|; returns (value, per-parameter gradients)."""
-    value = coefficient * sum(np.abs(p).sum() for p in parameters)
-    grads = [coefficient * np.sign(p) for p in parameters]
-    return value, grads
+def l1_penalty(theta: np.ndarray, coefficient: float, offsets):
+    """lambda * sum |theta| over a flat parameter vector; returns (value,
+    gradient vector).
+
+    Block i is theta[offsets[i]:offsets[i + 1]]. The value adds the blocks'
+    sums in order, which has the bits of summing each parameter array on its
+    own: one sum over the whole vector would round differently.
+    """
+    a = np.abs(theta)
+    value = coefficient * sum(a[lo:hi].sum() for lo, hi in zip(offsets[:-1], offsets[1:]))
+    grad = np.sign(theta)
+    grad *= coefficient
+    return value, grad
 
 
 def loss(predictions, targets, parameters, l1_coefficient: float):
+    """MAE + L1 for a list of parameter arrays (model.parameters())."""
     data, _ = mae_loss(predictions, targets)
-    reg, _ = l1_penalty(parameters, l1_coefficient)
+    theta = np.concatenate([np.ravel(p) for p in parameters]) if parameters else np.zeros(0)
+    offsets = np.cumsum([0] + [np.size(p) for p in parameters])
+    reg, _ = l1_penalty(theta, l1_coefficient, offsets)
     return data + reg
 
 
 @dataclass
 class AdamState:
-    m: list = None
-    v: list = None
+    m: np.ndarray = None      # first moment, laid out like the parameter vector
+    v: np.ndarray = None      # second moment
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -51,23 +62,40 @@ class AdamState:
 
     @classmethod
     def for_parameters(cls, parameters, **kwargs) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in parameters],
-                   v=[np.zeros_like(p) for p in parameters], t=0, **kwargs)
+        """Zero moments for a list of parameter arrays, as flat vectors of
+        their total size."""
+        size = sum(np.size(p) for p in parameters)
+        return cls(m=np.zeros(size), v=np.zeros(size), t=0, **kwargs)
 
 
-def adam_step(parameters, gradients, state: AdamState, lr: float):
-    """Standard bias-corrected ADAM update, in place; returns (params, state)."""
+def adam_step(theta: np.ndarray, gradient: np.ndarray, state: AdamState, lr: float):
+    """Standard bias-corrected ADAM update of a flat parameter vector, in
+    place; returns (theta, state).
+
+    The update is theta -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated
+    in that order in two scratch vectors rather than one temporary per
+    operation.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(parameters, gradients, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return parameters, state
+    m, v = state.m, state.v
+    m *= b1
+    step = gradient * (1.0 - b1)
+    m += step
+    v *= b2
+    np.square(gradient, out=step)
+    step *= 1.0 - b2
+    v += step
+    denom = v / c2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    theta -= step
+    return theta, state
 
 
 @dataclass
@@ -143,21 +171,36 @@ class TrainLog:
         return [r.mean_loss for r in self.records]
 
 
-def _batch_loss_and_grads(mdl, batch, task, lam):
+def _batch_loss_and_gradient(mdl, batch, task, lam):
+    """(loss, gradient laid out like mdl.flat, supervised entry count)."""
     y_node, y_graph, tape = gnn.forward(mdl, batch)
     if task == "node_level":
         targets = batch.graph.node_targets
         value, gpred = mae_loss(y_node, targets)
-        grads = gnn.backward(mdl, tape, grad_node_out=gpred)
+        grad = gnn.backward(mdl, tape, grad_node_out=gpred)
     else:
         targets = batch.graph_targets
         value, gpred = mae_loss(y_graph, targets)
-        grads = gnn.backward(mdl, tape, grad_graph_out=gpred)
-    params = mdl.parameters()
-    reg, reg_grads = l1_penalty(params, lam)
-    for g, rg in zip(grads, reg_grads):
-        g += rg
-    return value + reg, grads, targets.size
+        grad = gnn.backward(mdl, tape, grad_graph_out=gpred)
+    reg, reg_grad = l1_penalty(mdl.flat, lam, mdl.offsets)
+    grad += reg_grad
+    return value + reg, grad, targets.size
+
+
+def _batch_loss_and_grads(mdl, batch, task, lam):
+    """As `_batch_loss_and_gradient`, with the gradient as one view per
+    parameter in mdl.parameters() order."""
+    value, grad, count = _batch_loss_and_gradient(mdl, batch, task, lam)
+    return value, mdl.split(grad), count
+
+
+def _non_finite_block(mdl, grad) -> str:
+    """Names the first parameter whose gradient has a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size == 0:
+        return "every gradient entry is finite"
+    block = int(np.searchsorted(mdl.offsets, bad[0], side="right")) - 1
+    return f"first non-finite gradient in {mdl.parameter_names()[block]}"
 
 
 def fit(mdl, graphs: list[Graph], config: TrainConfig,
@@ -167,9 +210,8 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
     """Train in place. adam_state/schedule/start_epoch allow resumption."""
     if not graphs:
         raise ValueError("empty training set")
-    params = mdl.parameters()
     if adam_state is None:
-        adam_state = AdamState.for_parameters(params)
+        adam_state = AdamState.for_parameters(mdl.parameters())
     if schedule is None:
         schedule = config.plateau_schedule()
     log = TrainLog()
@@ -181,12 +223,13 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
         for b0 in range(0, n, config.batch_size):
             members = [graphs[i] for i in order[b0:b0 + config.batch_size]]
             batch = merge_batch(members)
-            value, grads, count = _batch_loss_and_grads(
+            value, grad, count = _batch_loss_and_gradient(
                 mdl, batch, config.task, config.l1_coefficient)
             if not np.isfinite(value):
                 raise TrainingDivergedError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {b0 // config.batch_size}")
-            adam_step(params, grads, adam_state, schedule.lr)
+                    f"non-finite loss {value} at epoch {epoch}, "
+                    f"batch {b0 // config.batch_size}; {_non_finite_block(mdl, grad)}")
+            adam_step(mdl.flat, grad, adam_state, schedule.lr)
             total += value * count
             weight += count
         mean_loss = total / weight

@@ -206,3 +206,19 @@ class TestBadRecords:
                          "--out", str(tmp_path / "bad.ckpt")]) == 2
         err = capsys.readouterr().err
         assert bad.graph_id in err and "Traceback" not in err
+
+    def test_node_target_unseen_by_zscore_fit_exits_2(self, workspace, capsys):
+        tmp_path, _, data = workspace
+        recs = gs.read_dataset(data)
+        for rec in recs:
+            rec.node_target = None
+        untargeted = tmp_path / "untargeted.jsonl"
+        gs.write_dataset(recs, untargeted)
+        cfg = tmp_path / "train_g.ini"
+        cfg.write_text(TRAIN_INI.replace("task = node_level", "task = graph_level")
+                       .replace("graph_output_size = 3", "graph_output_size = 1"))
+        out = train(tmp_path, cfg, untargeted, "g.ckpt")
+        capsys.readouterr()
+        assert cli_main(["eval", "--ckpt", str(out), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert recs[0].graph_id in err and "Traceback" not in err

@@ -206,6 +206,17 @@ class TestFeaturizer:
         with pytest.raises(ValueError):
             gs.Featurizer("feature_design", node_target_mode="pressure")
 
+    def test_zscore_fitted_without_targets_rejects_a_target_naming_record(self):
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=34, count=4, min_nodes=5,
+                                                      max_nodes=8, family="chain"))
+        with_target = recs[3]
+        for rec in recs[:3]:
+            rec.node_target = None
+        feat = gs.Featurizer("airfoil").fit(recs[:3])
+        assert feat.target_norm is None
+        with pytest.raises(DatasetFormatError, match=with_target.graph_id):
+            feat.transform(with_target)
+
 
 class TestCheckpoint:
     def make(self, seed=0):
@@ -264,7 +275,7 @@ class TestCheckpoint:
         params = m.parameters()
         adam = AdamState.for_parameters(params)
         adam.t = 17
-        adam.m[0][:] = 0.5
+        adam.m[:params[0].size] = 0.5
         sched = PlateauSchedule(lr=2.5e-4, best=0.1, bad_epochs=3)
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, feat, path,
@@ -272,4 +283,68 @@ class TestCheckpoint:
         _, _, back = load_checkpoint(path)
         assert back.epoch == 42 and back.adam.t == 17
         assert back.schedule.lr == 2.5e-4 and back.schedule.bad_epochs == 3
-        np.testing.assert_array_equal(back.adam.m[0], adam.m[0])
+        np.testing.assert_array_equal(back.adam.m, adam.m)
+
+    def resumable(self, tmp_path):
+        m, feat, _ = self.make()
+        adam = AdamState.for_parameters(m.parameters())
+        adam.m[:] = np.linspace(-1.0, 1.0, adam.m.size)
+        adam.v[:] = np.linspace(0.0, 2.0, adam.v.size)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, feat, path, resume=TrainResumeState(
+            adam=adam, schedule=PlateauSchedule(lr=1e-4), epoch=3))
+        return m, feat, path
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        _, _, path = self.resumable(tmp_path)
+        m2, feat2, resume2 = load_checkpoint(path)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(m2, feat2, again, resume=resume2)
+        assert again.read_bytes() == path.read_bytes()
+        assert all(np.shares_memory(p, m2.flat) for p in m2.parameters())
+        assert resume2.adam.m.shape == resume2.adam.v.shape == m2.flat.shape
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        _, _, path = self.resumable(tmp_path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
+    def test_missing_section_is_named(self, tmp_path):
+        m, feat, _ = self.make()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, feat, path)
+        raw = path.read_bytes()
+        params_header = raw.index(b"params") - 4     # its name-length field
+        path.write_bytes(raw[:params_header])
+        with pytest.raises(CheckpointError, match="no 'params' section"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["params", "resume_arrays"])
+    def test_array_shapes_must_match_the_config(self, tmp_path, section):
+        m, feat, path = self.resumable(tmp_path)
+        narrow = gnn.build_model(tiny_config(width=4), 0)
+        wrong = next(i for i, (a, b) in enumerate(zip(narrow.parameters(), m.parameters()))
+                     if a.shape != b.shape)
+        donor = tmp_path / "narrow.ckpt"
+        save_checkpoint(narrow, feat, donor, resume=TrainResumeState(
+            adam=AdamState.for_parameters(narrow.parameters()),
+            schedule=PlateauSchedule(lr=1e-4), epoch=3))
+        path.write_bytes(splice_section(path.read_bytes(), donor.read_bytes(), section))
+        with pytest.raises(CheckpointError, match=rf"'{section}.*parameter {wrong} "):
+            load_checkpoint(path)
+
+
+def splice_section(raw: bytes, donor: bytes, name: str) -> bytes:
+    """`raw` with section `name` replaced by the same section of `donor`."""
+    def span(buf):
+        key = len(name).to_bytes(4, "little") + name.encode()
+        start = buf.index(key)
+        length = int.from_bytes(buf[start + len(key):start + len(key) + 8], "little")
+        return start, start + len(key) + 8 + length
+    a, b = span(raw)
+    c, d = span(donor)
+    return raw[:a] + donor[c:d] + raw[b:]

@@ -379,7 +379,7 @@ class TestBlockwiseFirstLayers:
         g_graph = rng.normal(size=(len(graphs), 2))
 
         y_node, y_graph, tape = gnn.forward(m, batch)
-        grads = gnn.backward(m, tape, grad_node_out=g_node, grad_graph_out=g_graph)
+        grads = m.split(gnn.backward(m, tape, grad_node_out=g_node, grad_graph_out=g_graph))
         s_node, s_graph = staged_forward(m, batch)
         r_node, r_graph, r_grads = concatenated_reference(m, batch, g_node, g_graph)
 
@@ -421,3 +421,56 @@ class TestBlockwiseFirstLayers:
                     w[row, col] = orig
                     fd = (fp - fm) / (2 * h)
                     assert abs(fd - gw[row, col]) <= 1e-6 * max(1e-3, abs(fd)), (k, row, col)
+
+
+class TestFlatParameters:
+    def test_every_parameter_is_a_view_of_the_vector(self):
+        m = gnn.build_model(tiny_config(), 0)
+        params = m.parameters()
+        assert m.flat.dtype == np.float64 and m.flat.flags.c_contiguous
+        assert m.flat.size == sum(p.size for p in params) == m.offsets[-1]
+        # 8 MLPs (2 encoders, 2 steps x 2 processors, 2 decoders) of depth + 1 layers
+        assert len(params) == len(m.parameter_names()) == 8 * 2 * (m.config.depth + 1)
+        for p in params:
+            assert np.shares_memory(p, m.flat)
+        # the MLPs hold views of the same memory, in parameters() order
+        held = [a for mlp in m.mlps() for a in mlp.parameters()]
+        address = lambda a: a.__array_interface__["data"][0]
+        assert all(a.base is m.flat for a in held)
+        assert [address(a) for a in held] == [address(p) for p in params]
+
+    def test_in_place_edit_through_a_view_changes_forward(self, rng):
+        m = gnn.build_model(tiny_config(), 1)
+        g = make_featurized(rng)
+        before, _ = gnn.predict(m, g)
+        m.processor_edge[1].weights[0][0, 0] += 0.5
+        after, _ = gnn.predict(m, g)
+        assert not np.array_equal(before, after)
+        m.flat[m.offsets[0]] -= 1.0      # encoder_edge W0[0, 0] through the vector
+        assert m.encoder_edge.weights[0][0, 0] == m.flat[0]
+        assert not np.array_equal(gnn.predict(m, g)[0], after)
+
+    def test_set_parameters_copies_without_rebinding(self):
+        a, b = gnn.build_model(tiny_config(), 2), gnn.build_model(tiny_config(), 3)
+        flat, w0 = a.flat, a.encoder_edge.weights[0]
+        a.set_parameters(b.parameters())
+        assert a.flat is flat and a.encoder_edge.weights[0] is w0
+        np.testing.assert_array_equal(a.flat, b.flat)
+        assert not np.shares_memory(a.flat, b.flat)
+
+    def test_set_parameters_names_a_wrong_shape(self):
+        m = gnn.build_model(tiny_config(), 0)
+        values = [p.copy() for p in m.parameters()]
+        values[7] = values[7][:-1]
+        with pytest.raises(ValueError, match=r"parameter 7 \(encoder_node b0\)"):
+            m.set_parameters(values)
+        with pytest.raises(ValueError, match="expected 48 parameter arrays, got 47"):
+            m.set_parameters(values[:-1])
+
+    def test_backward_is_laid_out_like_the_vector(self, rng):
+        m = gnn.build_model(tiny_config(), 4)
+        batch = merge_batch([make_featurized(rng)])
+        _, _, tape = gnn.forward(m, batch)
+        grad = gnn.backward(m, tape, grad_node_out=np.ones((batch.graph.num_nodes, 1)))
+        assert grad.shape == m.flat.shape
+        assert [g.shape for g in m.split(grad)] == [p.shape for p in m.parameters()]

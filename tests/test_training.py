@@ -33,36 +33,36 @@ class TestLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        p = [np.array([1.0, -2.0])]
-        state = tr.AdamState.for_parameters(p)
-        tr.adam_step(p, [np.zeros(2)], state, 0.1)
-        np.testing.assert_array_equal(p[0], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        state = tr.AdamState.for_parameters([p])
+        tr.adam_step(p, np.zeros(2), state, 0.1)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # at t=1 the bias-corrected update is g/|g| for |g| >> eps
-        p = [np.array([0.0])]
-        state = tr.AdamState.for_parameters(p)
-        tr.adam_step(p, [np.array([5.0])], state, 1e-3)
-        assert abs(abs(p[0][0]) - 1e-3) < 1e-9
+        p = np.array([0.0])
+        state = tr.AdamState.for_parameters([p])
+        tr.adam_step(p, np.array([5.0]), state, 1e-3)
+        assert abs(abs(p[0]) - 1e-3) < 1e-9
 
     def test_deterministic(self):
         def run():
-            p = [np.linspace(-1, 1, 5)]
-            state = tr.AdamState.for_parameters(p)
+            p = np.linspace(-1, 1, 5)
+            state = tr.AdamState.for_parameters([p])
             for k in range(10):
-                tr.adam_step(p, [np.sin(p[0] + k)], state, 1e-2)
-            return p[0]
+                tr.adam_step(p, np.sin(p + k), state, 1e-2)
+            return p
         np.testing.assert_array_equal(run(), run())
 
     def test_l1_only_shrinks_parameter_norm(self):
         # no data term: repeated steps strictly decrease sum |theta|
-        p = [np.array([0.5, -0.8, 0.3])]
-        state = tr.AdamState.for_parameters(p)
-        norms = [np.abs(p[0]).sum()]
+        p = np.array([0.5, -0.8, 0.3])
+        state = tr.AdamState.for_parameters([p])
+        norms = [np.abs(p).sum()]
         for _ in range(200):
-            _, grads = tr.l1_penalty(p, 1e-2)
-            tr.adam_step(p, grads, state, 1e-3)
-            norms.append(np.abs(p[0]).sum())
+            _, grad = tr.l1_penalty(p, 1e-2, [0, p.size])
+            tr.adam_step(p, grad, state, 1e-3)
+            norms.append(np.abs(p).sum())
         assert all(b < a or a < 1e-6 for a, b in zip(norms, norms[1:]))
 
 
@@ -165,6 +165,18 @@ class TestFit:
         with pytest.raises(tr.TrainingDivergedError, match="epoch 0"):
             tr.fit(m, [s.graph for s in samples], gs.TrainConfig(epochs=1, seed=0))
 
+    def test_divergence_names_the_first_non_finite_block(self):
+        # a NaN edge feature built directly, past the Featurizer's record checks
+        feat, samples = featurized_samples(10, 3, min_nodes=4, max_nodes=5)
+        graphs = [s.graph for s in samples]
+        ef = graphs[1].edge_features.copy()
+        ef[2, 1] = np.nan
+        graphs[1] = graphs[1].with_features(edge_features=ef)
+        m = gnn.build_model(tiny_config(), 0)
+        with pytest.raises(tr.TrainingDivergedError,
+                           match=r"batch 0; first non-finite gradient in encoder_edge W0$"):
+            tr.fit(m, graphs, gs.TrainConfig(epochs=1, batch_size=3, seed=0))
+
 
 class TestBatchGradientConsistency:
     def test_merged_equals_weighted_per_graph(self, rng):
@@ -194,3 +206,80 @@ class TestOverfit:
                               l1_coefficient=0.0, seed=0))
         report = gs.evaluate_node_level(m, samples, "train")
         assert report.median < 1.0
+
+
+def per_array_l1(parameters, coefficient):
+    """The L1 penalty as one sum and one gradient per parameter array."""
+    value = coefficient * sum(np.abs(p).sum() for p in parameters)
+    grads = [coefficient * np.sign(p) for p in parameters]
+    return value, grads
+
+
+def per_array_adam(parameters, gradients, state, lr):
+    """Bias-corrected Adam looping over parameter arrays and per-array moments."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for p, g, m, v in zip(parameters, gradients, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+class TestFlatOptimizerMatchesPerArrayLoop:
+    def test_l1_value_has_the_bits_of_per_array_sums(self):
+        m = gnn.build_model(tiny_config(), 0)
+        rng = np.random.default_rng(0)
+        m.flat[:] = rng.normal(size=m.flat.size) * 10.0 ** rng.uniform(-6, 2, m.flat.size)
+        want, want_grads = per_array_l1(m.parameters(), 1e-3)
+        # these values round differently when summed as one vector
+        assert 1e-3 * np.abs(m.flat).sum() != want
+        value, grad = tr.l1_penalty(m.flat, 1e-3, m.offsets)
+        assert value == want
+        assert grad.tobytes() == np.concatenate([g.ravel() for g in want_grads]).tobytes()
+        assert tr.loss(np.zeros((1, 1)), np.zeros((1, 1)), m.parameters(), 1e-3) == want
+
+    def test_bit_identical_parameters_moments_and_losses(self):
+        # the chain benchmark config: latent 32, 4 steps, depth 3, width 32
+        feat, samples = featurized_samples(13, 12, min_nodes=6, max_nodes=10)
+        graphs = [s.graph for s in samples]
+        cfg = gs.GnnConfig(node_input_size=6, edge_input_size=3, latent_size=32, steps=4,
+                           depth=3, width=32, graph_output_size=4, node_output_size=1,
+                           sine_frequency=0.5)
+        lam, lr, bs, epochs = 1e-5, 5e-4, 2, 2
+        flat_model, ref = gnn.build_model(cfg, 5), gnn.build_model(cfg, 5)
+
+        state = tr.AdamState.for_parameters(flat_model.parameters())
+        log = tr.fit(flat_model, graphs,
+                     gs.TrainConfig(epochs=epochs, batch_size=bs, initial_lr=lr,
+                                    l1_coefficient=lam, seed=3),
+                     adam_state=state)
+
+        params = ref.parameters()
+        ref_state = tr.AdamState(m=[np.zeros_like(p) for p in params],
+                                 v=[np.zeros_like(p) for p in params])
+        losses = []
+        for epoch in range(epochs):
+            order = np.random.default_rng((3, epoch)).permutation(len(graphs))
+            total, weight = 0.0, 0
+            for b0 in range(0, len(graphs), bs):
+                batch = merge_batch([graphs[i] for i in order[b0:b0 + bs]])
+                y_node, _, tape = gnn.forward(ref, batch)
+                value, gpred = tr.mae_loss(y_node, batch.graph.node_targets)
+                grads = [g.copy() for g in ref.split(gnn.backward(ref, tape, gpred))]
+                reg, reg_grads = per_array_l1(params, lam)
+                for g, rg in zip(grads, reg_grads):
+                    g += rg
+                per_array_adam(params, grads, ref_state, lr)
+                total += (value + reg) * batch.graph.node_targets.size
+                weight += batch.graph.node_targets.size
+            losses.append(total / weight)
+
+        assert ref_state.t == state.t == 12
+        assert log.losses() == losses
+        assert flat_model.flat.tobytes() == ref.flat.tobytes()
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state.m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state.v]).tobytes()
