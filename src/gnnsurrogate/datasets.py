@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .graph import Graph, build_from_mesh, build_surface_chain
+from .graph import (Graph, InvalidChainError, InvalidMeshError, build_from_mesh,
+                    build_surface_chain)
 from .features import (
     DEFAULT_CELL_TYPES, AirfoilEncoding, FeatureDesignEncoding, Normalizer,
     denormalize_pressure_target, encode_edges, encode_nodes_airfoil,
@@ -60,11 +61,16 @@ class GraphRecord:
         return self
 
     def build_topology(self) -> Graph:
-        if self.chain:
-            return build_surface_chain(self.positions, closed=self.closed)
-        if self.cells is None:
+        """The record's graph; a bad mesh or chain raises DatasetFormatError
+        naming the record."""
+        if not self.chain and self.cells is None:
             raise DatasetFormatError(f"record {self.graph_id}: neither chain nor cells")
-        return build_from_mesh(self.positions, self.cells)
+        try:
+            if self.chain:
+                return build_surface_chain(self.positions, closed=self.closed)
+            return build_from_mesh(self.positions, self.cells)
+        except (InvalidMeshError, InvalidChainError) as exc:
+            raise DatasetFormatError(f"record {self.graph_id}: {exc}") from exc
 
 
 def _record_to_json(rec: GraphRecord) -> dict:
@@ -327,7 +333,10 @@ class Featurizer:
                 raise DatasetFormatError(
                     f"record {rec.graph_id}: feature-design encoding needs node_cell_types")
             enc = FeatureDesignEncoding(cell_type_vocabulary=self.cell_type_vocabulary)
-            nf = encode_nodes_feature_design(topo, enc, rec.node_cell_types)
+            try:
+                nf = encode_nodes_feature_design(topo, enc, rec.node_cell_types)
+            except ValueError as exc:
+                raise DatasetFormatError(f"record {rec.graph_id}: {exc}") from exc
         return nf, encode_edges(topo)
 
     def fit(self, records: list[GraphRecord]) -> "Featurizer":

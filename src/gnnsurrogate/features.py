@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -52,9 +53,29 @@ def reference_point_feature_design(positions: np.ndarray) -> np.ndarray:
 
 def compute_node_degree(graph: Graph) -> np.ndarray:
     """Distinct-neighbor count per node (undirected degree)."""
-    deg = np.zeros(graph.num_nodes, dtype=np.int64)
-    np.add.at(deg, graph.receivers, 1)
-    return deg
+    return np.bincount(graph.receivers, minlength=graph.num_nodes)
+
+
+def _cell_type_columns(node_cell_types: list, vocabulary: tuple, n: int):
+    """(node, vocabulary column) of every label, in node order.
+
+    Raises ValueError unless there is one list of labels per node, and
+    VocabularyError naming the first node with an unknown label."""
+    vocab = {label: j for j, label in enumerate(vocabulary)}
+    try:
+        counts = np.fromiter(map(len, node_cell_types), np.int64)
+        labels = list(chain.from_iterable(node_cell_types))
+        columns = np.fromiter(map(vocab.get, labels, repeat(-1)), np.int64, count=len(labels))
+    except TypeError as exc:
+        raise ValueError(f"node_cell_types must be one list of labels per node: {exc}") from None
+    if len(counts) != n:
+        raise ValueError(f"got cell types for {len(counts)} nodes, graph has {n}")
+    nodes = np.repeat(np.arange(n), counts)
+    unknown = np.flatnonzero(columns < 0)
+    if unknown.size:
+        first = unknown[0]
+        raise VocabularyError(f"node {nodes[first]}: unknown cell type {labels[first]!r}")
+    return nodes, columns
 
 
 def encode_nodes_feature_design(graph: Graph, encoding: FeatureDesignEncoding,
@@ -64,19 +85,14 @@ def encode_nodes_feature_design(graph: Graph, encoding: FeatureDesignEncoding,
     node_cell_types gives, per node, the labels of every cell type the node
     belongs to (a node shared by cells of different types gets multiple 1s).
     """
-    vocab = {label: j for j, label in enumerate(encoding.cell_type_vocabulary)}
     n = graph.num_nodes
-    if len(node_cell_types) != n:
-        raise ValueError(f"got cell types for {len(node_cell_types)} nodes, graph has {n}")
+    vocabulary = encoding.cell_type_vocabulary
+    nodes, columns = _cell_type_columns(node_cell_types, vocabulary, n)
     x_ref = reference_point_feature_design(graph.positions)
     rel = graph.positions - x_ref
     l1 = np.abs(rel).sum(axis=1, keepdims=True)
-    onehot = np.zeros((n, len(vocab)))
-    for i, labels in enumerate(node_cell_types):
-        for label in labels:
-            if label not in vocab:
-                raise VocabularyError(f"node {i}: unknown cell type {label!r}")
-            onehot[i, vocab[label]] = 1.0
+    onehot = np.zeros((n, len(vocabulary)))
+    onehot[nodes, columns] = 1.0
     deg = compute_node_degree(graph).astype(np.float64)[:, None]
     return np.hstack([rel, l1, onehot, deg])
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -89,11 +91,45 @@ class BatchedGraph:
         return out
 
 
-def _sort_edges(edges: np.ndarray) -> np.ndarray:
-    if len(edges) == 0:
-        return edges.reshape(0, 2).astype(np.int64)
-    order = np.lexsort((edges[:, 0], edges[:, 1]))
-    return edges[order]
+def _first_fault(cells, n: int) -> str:
+    """The message for the first bad cell, checked in cell order: a cell must
+    be a sequence of >= 2 entries, each an integer node index in [0, n)."""
+    try:
+        cells = list(cells)
+    except TypeError:
+        return f"cells is {cells!r}, not a list of cells"
+    for ci, cell in enumerate(cells):
+        try:
+            size = len(cell)
+        except TypeError:
+            return f"cell {ci} is {cell!r}, not a list of node indices"
+        if size < 2:
+            return f"cell {ci} has {size} nodes, need >= 2"
+        for idx in cell:
+            if not isinstance(idx, numbers.Integral):
+                return f"cell {ci} has node index {idx!r}, not an integer"
+            if not (0 <= idx < n):
+                return f"cell {ci} references node {idx}, have {n} nodes"
+    return "cells are not lists of node indices"
+
+
+def _cell_nodes(cells, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell node counts and the cells' node indices, concatenated.
+
+    Checks every cell at once; on a fault, raises InvalidMeshError naming
+    the first bad cell (see `_first_fault`)."""
+    try:
+        lengths = np.fromiter(map(len, cells), np.int64)
+        types = set(map(type, chain.from_iterable(cells)))
+        if all(issubclass(t, numbers.Integral) for t in types):
+            nodes = np.fromiter(chain.from_iterable(cells), np.int64,
+                                count=int(lengths.sum()))
+            if (lengths.min(initial=2) >= 2 and nodes.min(initial=0) >= 0
+                    and nodes.max(initial=-1) < n):
+                return lengths, nodes
+    except (TypeError, OverflowError):
+        pass
+    raise InvalidMeshError(_first_fault(cells, n))
 
 
 def build_from_mesh(positions, cells) -> Graph:
@@ -101,27 +137,26 @@ def build_from_mesh(positions, cells) -> Graph:
 
     Each cell is an ordered tuple of node indices; consecutive pairs (plus
     the closing pair for cells of >= 3 nodes) become undirected edges,
-    deduplicated across cells, then emitted in both directions.
+    deduplicated across cells, then emitted in both directions. A bad cell
+    raises InvalidMeshError naming the first one.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
-    undirected = set()
-    for ci, cell in enumerate(cells):
-        cell = list(cell)
-        if len(cell) < 2:
-            raise InvalidMeshError(f"cell {ci} has {len(cell)} nodes, need >= 2")
-        for idx in cell:
-            if not (0 <= idx < n):
-                raise InvalidMeshError(f"cell {ci} references node {idx}, have {n} nodes")
-        pairs = list(zip(cell, cell[1:]))
-        if len(cell) >= 3:
-            pairs.append((cell[-1], cell[0]))
-        for a, b in pairs:
-            if a != b:
-                undirected.add((min(a, b), max(a, b)))
-    directed = [(a, b) for a, b in undirected] + [(b, a) for a, b in undirected]
-    edges = _sort_edges(np.array(directed, dtype=np.int64).reshape(-1, 2))
-    return Graph(positions=positions, edges=edges)
+    lengths, nodes = _cell_nodes(cells, n)
+    # each node pairs with the next one in its cell, the last with the first;
+    # a 2-node cell's closing pair repeats its one edge, which unique drops
+    successor = np.arange(1, len(nodes) + 1)
+    ends = np.cumsum(lengths) - 1
+    successor[ends] = ends - lengths + 1
+    a, b = nodes, nodes[successor]
+    distinct = a != b   # self-pairs from repeated nodes are no edge
+    # undirected edges keyed lo * n + hi
+    undirected = np.unique(np.minimum(a, b)[distinct] * n + np.maximum(a, b)[distinct])
+    lo, hi = np.divmod(undirected, n)
+    # both directions, keyed receiver * n + sender, so one sort orders them
+    keys = np.sort(np.concatenate([undirected, hi * n + lo]))
+    receivers, senders = np.divmod(keys, n)
+    return Graph(positions=positions, edges=np.column_stack([senders, receivers]))
 
 
 def build_surface_chain(positions, closed: bool = False) -> Graph:
@@ -130,12 +165,14 @@ def build_surface_chain(positions, closed: bool = False) -> Graph:
     n = positions.shape[0]
     if n < 2:
         raise InvalidChainError(f"chain needs >= 2 nodes, got {n}")
-    pairs = [(k, k + 1) for k in range(n - 1)]
+    node = np.arange(n)
+    neighbors = np.column_stack([node - 1, node + 1])   # each receiver's senders
+    receivers = np.repeat(node, 2)
     if closed and n > 2:
-        pairs.append((n - 1, 0))
-    directed = pairs + [(b, a) for a, b in pairs]
-    edges = _sort_edges(np.array(directed, dtype=np.int64))
-    return Graph(positions=positions, edges=edges)
+        senders = np.sort(neighbors % n, axis=1).ravel()
+    else:  # the ends have one neighbor each
+        senders, receivers = neighbors.ravel()[1:-1], receivers[1:-1]
+    return Graph(positions=positions, edges=np.column_stack([senders, receivers]))
 
 
 def merge_batch(graphs: list[Graph]) -> BatchedGraph:
@@ -155,6 +192,10 @@ def merge_batch(graphs: list[Graph]) -> BatchedGraph:
                 raise IncompatibleGraphsError(f"member graphs disagree on {attr} width")
         if (g.graph_target is None) != (ref.graph_target is None):
             raise IncompatibleGraphsError("member graphs disagree on graph_target presence")
+        if np.shape(g.graph_target) != np.shape(ref.graph_target):
+            raise IncompatibleGraphsError(
+                f"member graphs disagree on graph_target width: "
+                f"{np.shape(ref.graph_target)} and {np.shape(g.graph_target)}")
 
     segments = []
     offset = 0

@@ -195,12 +195,16 @@ def _batch_loss_and_grads(mdl, batch, task, lam):
 
 
 def _non_finite_block(mdl, grad) -> str:
-    """Names the first parameter whose gradient has a non-finite entry."""
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size == 0:
-        return "every gradient entry is finite"
-    block = int(np.searchsorted(mdl.offsets, bad[0], side="right")) - 1
-    return f"first non-finite gradient in {mdl.parameter_names()[block]}"
+    """Names the first parameter holding a non-finite value or, if every
+    parameter is finite, the first whose gradient has a non-finite entry.
+    (Once a forward value is non-finite, every gradient block is, so the
+    gradient alone would name the first block in layout order.)"""
+    for kind, vector in (("parameter", mdl.flat), ("gradient", grad)):
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            block = int(np.searchsorted(mdl.offsets, bad[0], side="right")) - 1
+            return f"first non-finite {kind} in {mdl.parameter_names()[block]}"
+    return "every parameter and gradient entry is finite"
 
 
 def fit(mdl, graphs: list[Graph], config: TrainConfig,

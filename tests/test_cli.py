@@ -207,6 +207,27 @@ class TestBadRecords:
         err = capsys.readouterr().err
         assert bad.graph_id in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("cells", [[0, 1], None]),
+                                              ("cells", [[0, "1", 2]]),
+                                              ("node_cell_types", 4)])
+    def test_bad_mesh_exits_2(self, tmp_path, capsys, field, value):
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=9, count=4, min_nodes=6,
+                                                      max_nodes=9, family="patch3d"))
+        data = tmp_path / "mesh.jsonl"
+        gs.write_dataset(recs, data)
+        lines = data.read_text().splitlines()
+        bad = json.loads(lines[3])   # record 2, after the header
+        bad[field] = value
+        lines[3] = json.dumps(bad)
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "mesh.ini"
+        cfg.write_text(TRAIN_INI.replace("encoding = airfoil", "encoding = feature_design"))
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "mesh.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert f"record {recs[2].graph_id}:" in err and "Traceback" not in err
+
     def test_node_target_unseen_by_zscore_fit_exits_2(self, workspace, capsys):
         tmp_path, _, data = workspace
         recs = gs.read_dataset(data)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,55 @@ class TestRecordValidation:
         for call in (feat.transform, lambda rec: gs.Featurizer("airfoil").fit([rec])):
             with pytest.raises(DatasetFormatError, match=f"{recs[0].graph_id}.*node_target"):
                 call(recs[0])
+
+    # (JSONL field, edit of record 1's value, expected message)
+    MESH_PROBES = {
+        "string_entry": ("cells", lambda cells: [[0, "1", 2], *cells[1:]],
+                         "cell 0 has node index '1'"),
+        "list_entry": ("cells", lambda cells: [[0, [1], 2], *cells[1:]],
+                       r"cell 0 has node index \[1\]"),
+        "float_entry": ("cells", lambda cells: [*cells[:2], [0, 1.5, 2], *cells[3:]],
+                        "cell 2 has node index 1.5"),
+        "null_cell": ("cells", lambda cells: [cells[0], None, *cells[2:]], "cell 1 is None"),
+        "integer_cell": ("cells", lambda cells: [7, *cells[1:]], "cell 0 is 7"),
+        "integer_cells": ("cells", lambda cells: 5, "cells is 5"),
+        "short_cell": ("cells", lambda cells: [*cells, [0]], "has 1 nodes"),
+        "integer_cell_types": ("node_cell_types", lambda types: 4, "one list of labels"),
+        "unknown_cell_type": ("node_cell_types", lambda types: [["cube"], *types[1:]],
+                              "node 0: unknown cell type 'cube'"),
+    }
+
+    @staticmethod
+    def write_with_bad_record(path, records, field, corrupt):
+        """Write `records` as JSONL with `field` of record 1 edited by hand."""
+        gs.write_dataset(records, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj[field] = corrupt(obj[field])
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("probe", sorted(MESH_PROBES))
+    def test_bad_mesh_rejected_naming_record(self, tmp_path, probe):
+        field, corrupt, message = self.MESH_PROBES[probe]
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=8, count=3, min_nodes=6,
+                                                      max_nodes=9, family="patch3d"))
+        feat = gs.Featurizer("feature_design").fit(recs)
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, field, corrupt)
+        back = gs.read_dataset(path)
+        expected = f"^record {recs[1].graph_id}: .*{message}"
+        with pytest.raises(DatasetFormatError, match=expected):
+            gs.Featurizer("feature_design").fit(back)
+        with pytest.raises(DatasetFormatError, match=expected):
+            feat.transform_all(back)
+
+    def test_bad_chain_rejected_naming_record(self):
+        rec = self.records()[0]
+        rec.positions = rec.positions[:1]
+        rec.node_target = rec.node_target[:1]
+        with pytest.raises(DatasetFormatError, match=f"^record {rec.graph_id}: chain needs"):
+            gs.Featurizer("airfoil").fit([rec])
 
     def test_two_column_node_target_accepted(self):
         rec = self.records()[0]

@@ -1,11 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnnsurrogate as gs
 from gnnsurrogate.features import (
     DegenerateFreestreamError, VocabularyError, denormalize_pressure_target,
     normalize_pressure_target, reference_point_feature_design,
 )
+
+
+def reference_encode_nodes_feature_design(graph, encoding, node_cell_types):
+    """The per-label loop that the fancy-index fill replaced, kept as the
+    reference (with the np.add.at degree it used)."""
+    vocab = {label: j for j, label in enumerate(encoding.cell_type_vocabulary)}
+    n = graph.num_nodes
+    if len(node_cell_types) != n:
+        raise ValueError(f"got cell types for {len(node_cell_types)} nodes, graph has {n}")
+    rel = graph.positions - reference_point_feature_design(graph.positions)
+    l1 = np.abs(rel).sum(axis=1, keepdims=True)
+    onehot = np.zeros((n, len(vocab)))
+    for i, labels in enumerate(node_cell_types):
+        for label in labels:
+            if label not in vocab:
+                raise VocabularyError(f"node {i}: unknown cell type {label!r}")
+            onehot[i, vocab[label]] = 1.0
+    deg = np.zeros(n, dtype=np.int64)
+    np.add.at(deg, graph.receivers, 1)
+    return np.hstack([rel, l1, onehot, deg.astype(np.float64)[:, None]])
 
 
 def triangle_graph_3d():
@@ -67,6 +88,37 @@ class TestFeatureDesignEncoding:
     def test_unknown_label_rejected(self):
         with pytest.raises(VocabularyError):
             self.encode(triangle_graph_3d(), [["tet"], ["nope"], ["tet"]])
+
+    def test_first_unknown_label_named(self):
+        with pytest.raises(VocabularyError, match=r"^node 1: unknown cell type 'cube'$"):
+            self.encode(triangle_graph_3d(), [["tet"], ["hex", "cube", "ball"], ["orb"]])
+
+    @pytest.mark.parametrize("node_types", [3, [["tet"], None, ["tet"]], [["tet"], 2, ["tet"]],
+                                            [["tet"], [["tet"]], ["tet"]]])
+    def test_malformed_cell_types_rejected(self, node_types):
+        with pytest.raises(ValueError, match="one list of labels per node"):
+            self.encode(triangle_graph_3d(), node_types)
+
+    def test_cell_type_count_must_match_nodes(self):
+        with pytest.raises(ValueError, match="got cell types for 2 nodes, graph has 3"):
+            self.encode(triangle_graph_3d(), [["tet"], ["tet"]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        vocab = ("tet", "hex", "wedge", "pyramid")
+        recs = gs.generate_synthetic(gs.SyntheticSpec(
+            seed=data.draw(st.integers(0, 10 ** 6)), count=1, min_nodes=3, max_nodes=40,
+            family=data.draw(st.sampled_from(["patch2d", "patch3d"]))))
+        g = gs.build_from_mesh(recs[0].positions, recs[0].cells)
+        # empty, repeated and unordered label lists, as well as the generator's
+        node_types = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5),
+                                        min_size=g.num_nodes, max_size=g.num_nodes))
+        enc = gs.FeatureDesignEncoding(cell_type_vocabulary=vocab)
+        for types in (recs[0].node_cell_types, node_types):
+            np.testing.assert_array_equal(
+                gs.encode_nodes_feature_design(g, enc, types),
+                reference_encode_nodes_feature_design(g, enc, types))
 
     def test_degree_column(self):
         out = self.encode(triangle_graph_3d(), [["tet"]] * 3)
@@ -194,3 +246,14 @@ class TestNodeDegree:
         np.testing.assert_array_equal(
             gs.compute_node_degree(gs.build_from_mesh(np.zeros((3, 2)), [(0, 1, 2)])),
             [2, 2, 2])
+
+    def test_matches_add_at_reference(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 4, 30):
+            cells = [rng.choice(n + 2, 3, replace=False).tolist() for _ in range(n)]
+            g = gs.build_from_mesh(np.zeros((n + 2, 3)), cells)   # some nodes in no cell
+            expected = np.zeros(g.num_nodes, dtype=np.int64)
+            np.add.at(expected, g.receivers, 1)
+            degree = gs.compute_node_degree(g)
+            assert degree.dtype == np.int64
+            np.testing.assert_array_equal(degree, expected)

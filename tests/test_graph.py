@@ -11,6 +11,56 @@ def edge_set(graph):
     return set(map(tuple, graph.edges.tolist()))
 
 
+def reference_build_from_mesh(positions, cells):
+    """The set-based builder that the vectorized one replaced, kept as the
+    reference: same edges, dtype, shape and order; same error messages."""
+    n = len(positions)
+    undirected = set()
+    for ci, cell in enumerate(cells):
+        cell = list(cell)
+        if len(cell) < 2:
+            raise InvalidMeshError(f"cell {ci} has {len(cell)} nodes, need >= 2")
+        for idx in cell:
+            if not (0 <= idx < n):
+                raise InvalidMeshError(f"cell {ci} references node {idx}, have {n} nodes")
+        pairs = list(zip(cell, cell[1:]))
+        if len(cell) >= 3:
+            pairs.append((cell[-1], cell[0]))
+        for a, b in pairs:
+            if a != b:
+                undirected.add((min(a, b), max(a, b)))
+    directed = [(a, b) for a, b in undirected] + [(b, a) for a, b in undirected]
+    return reference_sort_edges(np.array(directed, dtype=np.int64).reshape(-1, 2))
+
+
+def reference_sort_edges(edges):
+    if len(edges) == 0:
+        return edges.reshape(0, 2).astype(np.int64)
+    return edges[np.lexsort((edges[:, 0], edges[:, 1]))]
+
+
+def reference_surface_chain_edges(n, closed):
+    pairs = [(k, k + 1) for k in range(n - 1)]
+    if closed and n > 2:
+        pairs.append((n - 1, 0))
+    directed = pairs + [(b, a) for a, b in pairs]
+    return reference_sort_edges(np.array(directed, dtype=np.int64))
+
+
+def assert_same_edges(actual, expected):
+    assert actual.dtype == expected.dtype == np.int64
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+
+
+def outcome(build, *args):
+    """The edges a builder returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except InvalidMeshError as exc:
+        return type(exc), str(exc)
+
+
 class TestBuildFromMesh:
     def test_single_triangle(self):
         g = gs.build_from_mesh(np.zeros((3, 2)), [(0, 1, 2)])
@@ -45,6 +95,65 @@ class TestBuildFromMesh:
         keys = [(r, s) for s, r in g.edges.tolist()]
         assert keys == sorted(keys)
 
+    def test_empty_cell_list(self):
+        g = gs.build_from_mesh(np.zeros((3, 2)), [])
+        assert_same_edges(g.edges, np.zeros((0, 2), dtype=np.int64))
+
+    def test_first_bad_cell_in_cell_order_is_named(self):
+        # cell 1 is short, cell 2 out of range: cell 1 is reported
+        with pytest.raises(InvalidMeshError, match=r"^cell 1 has 1 nodes, need >= 2$"):
+            gs.build_from_mesh(np.zeros((3, 2)), [(0, 1), (2,), (0, 7)])
+        # in one cell, the length check comes before the index check
+        with pytest.raises(InvalidMeshError, match=r"^cell 0 has 1 nodes"):
+            gs.build_from_mesh(np.zeros((3, 2)), [(9,)])
+
+    @pytest.mark.parametrize("cells, message", [
+        ([(0, 1, 2), (0, "1", 2)], r"^cell 1 has node index '1', not an integer$"),
+        ([(0, [1], 2)], r"^cell 0 has node index \[1\], not an integer$"),
+        ([(0, 1.5, 2)], r"^cell 0 has node index 1.5, not an integer$"),
+        ([(0, 1, 2), None], r"^cell 1 is None, not a list of node indices$"),
+        ([4], r"^cell 0 is 4, not a list of node indices$"),
+        (3, r"^cells is 3, not a list of cells$"),
+        ([(0, 2 ** 70)], r"^cell 0 references node 1180591620717411303424, have 3 nodes$"),
+    ])
+    def test_malformed_cells_named(self, cells, message):
+        with pytest.raises(InvalidMeshError, match=message):
+            gs.build_from_mesh(np.zeros((3, 2)), cells)
+
+    def test_numpy_integer_cells_accepted(self):
+        cells = np.array([[0, 1, 2], [1, 2, 3]], dtype=np.int32)
+        assert_same_edges(gs.build_from_mesh(np.zeros((4, 2)), cells).edges,
+                          reference_build_from_mesh(np.zeros((4, 2)), cells.tolist()))
+
+
+ragged_cell = st.lists(st.integers(0, 7), min_size=2, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.lists(ragged_cell, max_size=12), st.data())
+def test_mesh_edges_match_reference(n, cells, data):
+    """Ragged cells of 2-6 nodes, repeated nodes within a cell, duplicate
+    cells and the empty cell list: same edges, dtype, shape and order."""
+    cells = [[idx % n for idx in cell] for cell in cells]
+    cells += data.draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []
+    positions = np.zeros((n, 3))
+    assert_same_edges(gs.build_from_mesh(positions, cells).edges,
+                      reference_build_from_mesh(positions, cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.lists(st.lists(st.integers(-3, 9), max_size=5), max_size=8))
+def test_invalid_meshes_raise_like_reference(n, cells):
+    """Short cells mixed with out-of-range indices: the same error type and
+    message as the reference, or the same edges where every cell is valid."""
+    positions = np.zeros((n, 2))
+    actual = outcome(gs.build_from_mesh, positions, cells)
+    expected = outcome(reference_build_from_mesh, positions, cells)
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert_same_edges(actual.edges, expected)
+
 
 class TestBuildSurfaceChain:
     def test_open_three_nodes(self):
@@ -62,6 +171,12 @@ class TestBuildSurfaceChain:
     def test_single_node_rejected(self):
         with pytest.raises(InvalidChainError):
             gs.build_surface_chain(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_matches_reference(self, closed):
+        for n in range(2, 81):
+            assert_same_edges(gs.build_surface_chain(np.zeros((n, 2)), closed).edges,
+                              reference_surface_chain_edges(n, closed))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 20])
     def test_edge_counts(self, n):
@@ -126,6 +241,13 @@ class TestMergeBatch:
     def test_mismatched_widths_rejected(self):
         with pytest.raises(IncompatibleGraphsError):
             gs.merge_batch([self.make(2, width=2), self.make(3, width=5)])
+
+    def test_mismatched_graph_target_widths_named(self):
+        a = self.make(2).with_features(graph_target=np.zeros(1))
+        b = self.make(3).with_features(graph_target=np.zeros(2))
+        with pytest.raises(IncompatibleGraphsError,
+                           match=r"graph_target width: \(1,\) and \(2,\)"):
+            gs.merge_batch([a, b])
 
     def test_counts_preserved(self):
         graphs = [self.make(n) for n in (2, 5, 3)]

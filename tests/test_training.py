@@ -178,6 +178,17 @@ class TestFit:
             tr.fit(m, graphs, gs.TrainConfig(epochs=1, batch_size=3, seed=0))
 
 
+    def test_divergence_names_the_non_finite_parameter(self):
+        # an inf weight makes every gradient block non-finite; the weight is named
+        feat, samples = featurized_samples(10, 3, min_nodes=4, max_nodes=5)
+        m = gnn.build_model(tiny_config(), 0)
+        m.processor_edge[1].weights[0][0, 0] = np.inf
+        with pytest.raises(tr.TrainingDivergedError,
+                           match=r"batch 0; first non-finite parameter in processor_edge\[1\] W0$"), \
+                np.errstate(invalid="ignore"):
+            tr.fit(m, [s.graph for s in samples], gs.TrainConfig(epochs=1, batch_size=3, seed=0))
+
+
 class TestBatchGradientConsistency:
     def test_merged_equals_weighted_per_graph(self, rng):
         feat, samples = featurized_samples(11, 3, min_nodes=4, max_nodes=8)
