@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -136,23 +137,37 @@ def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
                    featurizer.edge_norm.shift, featurizer.edge_norm.scale]
     if featurizer.target_norm is not None:
         norm_arrays += [featurizer.target_norm.shift, featurizer.target_norm.scale]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        _write_section(fh, "meta", json.dumps(meta).encode())
-        _write_section(fh, "params", _pack_arrays(model.parameters()))
-        _write_section(fh, "normalizers", _pack_arrays(norm_arrays))
-        if resume is not None:
-            sched = resume.schedule
-            scalars = {"t": resume.adam.t, "beta1": resume.adam.beta1,
-                       "beta2": resume.adam.beta2, "eps": resume.adam.eps,
-                       "lr": sched.lr, "factor": sched.factor,
-                       "patience": sched.patience, "min_delta": sched.min_delta,
-                       "lr_min": sched.lr_min, "best": sched.best,
-                       "bad_epochs": sched.bad_epochs, "epoch": resume.epoch}
-            _write_section(fh, "resume_meta", json.dumps(scalars).encode())
-            _write_section(fh, "resume_arrays", _pack_arrays(
-                model.split(resume.adam.m) + model.split(resume.adam.v)))
+    # written beside `path` and renamed over it, so a failed save leaves any
+    # earlier checkpoint there whole
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, model, meta, norm_arrays, resume)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_checkpoint(fh, model: GnnModel, meta: dict, norm_arrays, resume):
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", VERSION))
+    _write_section(fh, "meta", json.dumps(meta).encode())
+    _write_section(fh, "params", _pack_arrays(model.parameters()))
+    _write_section(fh, "normalizers", _pack_arrays(norm_arrays))
+    if resume is not None:
+        sched = resume.schedule
+        scalars = {"t": resume.adam.t, "beta1": resume.adam.beta1,
+                   "beta2": resume.adam.beta2, "eps": resume.adam.eps,
+                   "lr": sched.lr, "factor": sched.factor,
+                   "patience": sched.patience, "min_delta": sched.min_delta,
+                   "lr_min": sched.lr_min, "best": sched.best,
+                   "bad_epochs": sched.bad_epochs, "epoch": resume.epoch}
+        _write_section(fh, "resume_meta", json.dumps(scalars).encode())
+        _write_section(fh, "resume_arrays", _pack_arrays(
+            model.split(resume.adam.m) + model.split(resume.adam.v)))
 
 
 def load_checkpoint(path):

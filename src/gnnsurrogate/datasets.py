@@ -127,17 +127,36 @@ def read_dataset(path) -> list[GraphRecord]:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: bad header line: {exc}") from exc
-        if header.get("format") != DATASET_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
             raise DatasetFormatError(f"{path}: not a {DATASET_FORMAT} file")
         if header.get("schema_version") != DATASET_SCHEMA_VERSION:
             raise DatasetFormatError(
                 f"{path}: schema version {header.get('schema_version')}, "
                 f"expected {DATASET_SCHEMA_VERSION}")
         records = []
-        for line in fh:
-            if line.strip():
-                records.append(_record_from_json(json.loads(line)))
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            obj = None
+            try:
+                obj = json.loads(line)
+                records.append(_record_from_json(obj))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetFormatError(_bad_line(path, lineno, obj, exc)) from exc
     return records
+
+
+def _bad_line(path, lineno: int, obj, exc: Exception) -> str:
+    """Names the file, the 1-based line, the record id if it was read, and
+    what was wrong with the line."""
+    where = f"{path}: line {lineno}"
+    if isinstance(obj, dict) and "id" in obj:
+        where += f" (record {obj['id']})"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"{where}: not a JSON record ({exc.msg}, column {exc.colno})"
+    if isinstance(exc, KeyError):
+        return f"{where}: no {exc.args[0]!r} field"
+    return f"{where}: bad record: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +333,29 @@ class Featurizer:
     @property
     def node_feature_width(self) -> int:
         if self.encoding_kind == "airfoil":
-            return 6
-        return 5 + len(self.cell_type_vocabulary)
+            return AirfoilEncoding.node_feature_width
+        return FeatureDesignEncoding(self.cell_type_vocabulary).node_feature_width
 
     @property
     def edge_feature_width(self) -> int:
         return (2 if self.encoding_kind == "airfoil" else 3) + 1
 
     def _raw_features(self, rec: GraphRecord, topo: Graph):
-        if self.encoding_kind == "airfoil":
-            if rec.freestream is None or rec.upper_flags is None:
-                raise DatasetFormatError(
-                    f"record {rec.graph_id}: airfoil encoding needs freestream and upper_flags")
-            enc = AirfoilEncoding(freestream=rec.freestream)
-            nf = encode_nodes_airfoil(topo, enc, rec.upper_flags)
-        else:
-            if rec.node_cell_types is None:
-                raise DatasetFormatError(
-                    f"record {rec.graph_id}: feature-design encoding needs node_cell_types")
-            enc = FeatureDesignEncoding(cell_type_vocabulary=self.cell_type_vocabulary)
-            try:
+        """Unnormalized node and edge features; per-node input that does not
+        fit the encoding raises DatasetFormatError naming the record."""
+        try:
+            if self.encoding_kind == "airfoil":
+                if rec.freestream is None or rec.upper_flags is None:
+                    raise ValueError("airfoil encoding needs freestream and upper_flags")
+                enc = AirfoilEncoding(freestream=rec.freestream)
+                nf = encode_nodes_airfoil(topo, enc, rec.upper_flags)
+            else:
+                if rec.node_cell_types is None:
+                    raise ValueError("feature-design encoding needs node_cell_types")
+                enc = FeatureDesignEncoding(cell_type_vocabulary=self.cell_type_vocabulary)
                 nf = encode_nodes_feature_design(topo, enc, rec.node_cell_types)
-            except ValueError as exc:
-                raise DatasetFormatError(f"record {rec.graph_id}: {exc}") from exc
+        except ValueError as exc:
+            raise DatasetFormatError(f"record {rec.graph_id}: {exc}") from exc
         return nf, encode_edges(topo)
 
     def fit(self, records: list[GraphRecord]) -> "Featurizer":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -41,6 +43,16 @@ class AirfoilEncoding:
     freestream: tuple[float, float]
 
     node_feature_width = 6
+
+    def __post_init__(self):
+        fs = self.freestream
+        try:
+            ok = len(fs) == 2 and all(isinstance(c, numbers.Real) and math.isfinite(c)
+                                      for c in fs)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"freestream must be two finite numbers (u0, v0), got {fs!r}")
 
 
 def reference_point_feature_design(positions: np.ndarray) -> np.ndarray:
@@ -102,8 +114,9 @@ def encode_nodes_airfoil(graph: Graph, encoding: AirfoilEncoding,
     """Per node: [x - (0,0) | (1,0) upper / (0,1) lower | u0, v0]."""
     upper_flags = np.asarray(upper_flags, dtype=bool)
     n = graph.num_nodes
-    if upper_flags.shape[0] != n:
-        raise ValueError(f"got {upper_flags.shape[0]} surface flags, graph has {n} nodes")
+    if upper_flags.shape != (n,):
+        raise ValueError(f"got surface flags of shape {upper_flags.shape}, "
+                         f"graph has {n} nodes")
     onehot = np.zeros((n, 2))
     onehot[upper_flags, 0] = 1.0
     onehot[~upper_flags, 1] = 1.0

@@ -156,39 +156,6 @@ def _segment_mean(values: np.ndarray, segments) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
-def encode(model: GnnModel, graph: Graph):
-    """Row-wise latent embedding of node and edge features."""
-    e = nn.forward(model.encoder_edge, graph.edge_features)
-    v = nn.forward(model.encoder_node, graph.node_features)
-    return v, e
-
-
-def message_passing_step(model: GnnModel, k: int, graph: Graph, state):
-    """One residual processor step on (latent nodes, latent edges)."""
-    if not (0 <= k < model.config.steps):
-        raise ConfigError(f"step {k} out of range, model has {model.config.steps}")
-    v, e = state
-    s, r = graph.senders, graph.receivers
-    ue = nn.forward(model.processor_edge[k], np.hstack([e, v[s], v[r]]))
-    agg = np.zeros((graph.num_nodes, model.config.latent_size))
-    np.add.at(agg, r, ue)
-    uv = nn.forward(model.processor_node[k], np.hstack([v, agg]))
-    return v + uv, e + ue
-
-
-def decode_graph(model: GnnModel, latent_nodes: np.ndarray, segments):
-    """Mean-pool each segment's latent nodes, then the graph decoder MLP."""
-    return nn.forward(model.decoder_graph, _segment_mean(latent_nodes, segments))
-
-
-def decode_node(model: GnnModel, latent_nodes: np.ndarray, y_graph: np.ndarray,
-                seg_ids: np.ndarray):
-    """Node decoder over [latent node | its graph's pooled decoding]."""
-    if model.decoder_node is None:
-        raise ConfigError("model has no node decoder (graph-level task)")
-    return nn.forward(model.decoder_node, np.hstack([latent_nodes, y_graph[seg_ids]]))
-
-
 def _incidence(index: np.ndarray, num_nodes: int):
     """(N, E) 0/1 matrix with a one at (index[j], j): a scatter-add as a matmul."""
     num_e = len(index)
@@ -233,54 +200,90 @@ def _first_layer_adjoint(w: np.ndarray, blocks, sums):
     return gw, gxs
 
 
+def encode(model: GnnModel, graph: Graph, tape: list | None = None):
+    """Row-wise latent embedding of node and edge features. Given a `tape`
+    list, appends (graph, edge encoder tape, node encoder tape) to it."""
+    e, tape_ee = nn.forward_tape(model.encoder_edge, graph.edge_features)
+    v, tape_ev = nn.forward_tape(model.encoder_node, graph.node_features)
+    if tape is not None:
+        tape.append((graph, tape_ee, tape_ev))
+    return v, e
+
+
+def message_passing_step(model: GnnModel, k: int, graph: Graph, state,
+                         recv_mat=None, tape: list | None = None):
+    """One residual processor step on (latent nodes, latent edges).
+
+    The MLPs' first layers are formed from the blocks [e | v[s] | v[r]] and
+    [v | agg], with no concatenated copy. agg = recv_mat @ ue, for recv_mat
+    the receiver incidence of `graph`, built here when not given. Tape entry:
+    (recv_mat, edge MLP tape, its blocks, node MLP tape, its blocks)."""
+    if not (0 <= k < model.config.steps):
+        raise ConfigError(f"step {k} out of range, model has {model.config.steps}")
+    v, e = state
+    if recv_mat is None:
+        recv_mat = _incidence(graph.receivers, graph.num_nodes)
+    pe, pn = model.processor_edge[k], model.processor_node[k]
+    edge_blocks = [(e, None), (v, graph.senders), (v, graph.receivers)]
+    ue, tape_pe = nn.forward_tape(pe, None, z0=_first_layer(pe.weights[0], edge_blocks))
+    node_blocks = [(v, None), (recv_mat @ ue, None)]
+    uv, tape_pn = nn.forward_tape(pn, None, z0=_first_layer(pn.weights[0], node_blocks))
+    if tape is not None:
+        tape.append((recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks))
+    return v + uv, e + ue
+
+
+def decode_graph(model: GnnModel, latent_nodes: np.ndarray, segments,
+                 tape: list | None = None):
+    """Mean-pool each segment's latent nodes, then the graph decoder MLP.
+    Tape entry: (decoder tape, segments)."""
+    y, tape_dg = nn.forward_tape(model.decoder_graph, _segment_mean(latent_nodes, segments))
+    if tape is not None:
+        tape.append((tape_dg, segments))
+    return y
+
+
+def decode_node(model: GnnModel, latent_nodes: np.ndarray, y_graph: np.ndarray,
+                seg_ids: np.ndarray, tape: list | None = None):
+    """Node decoder over [latent node | y_graph[seg_ids]], its first layer
+    formed block by block. seg_ids, each node's member index, is
+    nondecreasing (`BatchedGraph.segment_ids()`). Tape entry: (tape, blocks)."""
+    dn = model.decoder_node
+    if dn is None:
+        raise ConfigError("model has no node decoder (graph-level task)")
+    blocks = [(latent_nodes, None), (y_graph, seg_ids)]
+    y_node, tape_dn = nn.forward_tape(dn, None, z0=_first_layer(dn.weights[0], blocks))
+    if tape is not None:
+        tape.append((tape_dn, blocks))
+    return y_node
+
+
+def _run_stages(model: GnnModel, graph_or_batch, tape: list | None):
+    """The stages in order, with one receiver incidence for every step."""
+    batch = _as_batch(graph_or_batch)
+    g = batch.graph
+    recv_mat = _incidence(g.receivers, g.num_nodes)
+    state = encode(model, g, tape)
+    for k in range(model.config.steps):
+        state = message_passing_step(model, k, g, state, recv_mat, tape)
+    v = state[0]
+    y_graph = decode_graph(model, v, batch.segments, tape)
+    y_node = None
+    if model.decoder_node is not None:
+        y_node = decode_node(model, v, y_graph, batch.segment_ids(), tape)
+    return y_node, y_graph
+
+
 def forward(model: GnnModel, graph_or_batch):
-    """Full forward pass, the same function as the staged `encode`,
-    `message_passing_step` and `decode_*` but with every concatenated MLP
-    input ([e|v_s|v_r], [v|agg], [v|y_graph[seg]]) kept as blocks.
+    """Full forward pass: `encode`, every `message_passing_step`,
+    `decode_graph` and, for a node-level model, `decode_node`.
 
     Returns (node_out or None, graph_out (m, d_G), tape). graph_out for a
     node-level task is the internal pooled context, not a supervised output.
-    The tape holds each MLP's own tape and, for the blockwise MLPs, the
-    blocks (the latent arrays and the gather indices) in place of the
-    concatenated input; the first-layer gradient is formed from them.
-    """
-    batch = _as_batch(graph_or_batch)
-    g = batch.graph
-    cfg = model.config
-    s, r = g.senders, g.receivers
-    recv_mat = _incidence(r, g.num_nodes)
-
-    e, tape_ee = nn.forward_tape(model.encoder_edge, g.edge_features)
-    v, tape_ev = nn.forward_tape(model.encoder_node, g.node_features)
-
-    step_tapes = []
-    for k in range(cfg.steps):
-        pe, pn = model.processor_edge[k], model.processor_node[k]
-        edge_blocks = [(e, None), (v, s), (v, r)]
-        ue, tape_pe = nn.forward_tape(pe, None, z0=_first_layer(pe.weights[0], edge_blocks))
-        agg = recv_mat @ ue
-        node_blocks = [(v, None), (agg, None)]
-        uv, tape_pn = nn.forward_tape(pn, None, z0=_first_layer(pn.weights[0], node_blocks))
-        e = e + ue
-        v = v + uv
-        step_tapes.append((tape_pe, edge_blocks, tape_pn, node_blocks))
-
-    pooled = _segment_mean(v, batch.segments)
-    y_graph, tape_dg = nn.forward_tape(model.decoder_graph, pooled)
-
-    y_node = None
-    tape_dn = None
-    if model.decoder_node is not None:
-        dn = model.decoder_node
-        dn_blocks = [(v, None), (y_graph, batch.segment_ids())]
-        y_node, dn_tape = nn.forward_tape(dn, None, z0=_first_layer(dn.weights[0], dn_blocks))
-        tape_dn = (dn_tape, dn_blocks)
-
-    tape = {
-        "batch": batch, "recv_mat": recv_mat,
-        "tape_ee": tape_ee, "tape_ev": tape_ev,
-        "step_tapes": step_tapes, "tape_dg": tape_dg, "tape_dn": tape_dn,
-    }
+    The tape is the stack of the stages' entries in the order they ran; a
+    blockwise MLP's entry holds its blocks (latent arrays, gather indices)."""
+    tape = []
+    y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
 
 
@@ -288,75 +291,71 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     """Adjoint pass; returns the parameter gradient as one vector laid out
     like `model.flat` (`model.split` gives it per parameter).
 
-    Walks the tape of `forward` in reverse. A blockwise MLP's backward stops
-    at its first pre-activation gradient gz0; the sender and receiver sums of
-    gz0 (one incidence matmul each) then give the first-layer weight blocks
-    and the node gradients at node level.
-    """
-    batch = tape["batch"]
-    g = batch.graph
+    Pops `forward`'s tape stack (a copy) and runs each stage's adjoint: the
+    decoders, the steps from last to first, the encoders. A blockwise MLP's
+    backward stops at its first pre-activation gradient gz0; the sender and
+    receiver sums of gz0 (one incidence matmul each) then give the
+    first-layer weight blocks and the node gradients."""
     cfg = model.config
-    nl = cfg.latent_size
+    stack = list(tape)
+    g = stack[0][0]              # encode's entry, at the bottom, holds the graph
+    gv = np.zeros((g.num_nodes, cfg.latent_size))
+    ge = np.zeros((g.num_edges, cfg.latent_size))
+    grads = []                   # each stage's parameter gradients, last stage first
 
-    gy_graph = np.zeros((batch.num_members, cfg.graph_output_size))
+    gy_dn = None
+    if model.decoder_node is not None:
+        dn = model.decoder_node
+        tape_dn, dn_blocks = stack.pop()
+        if grad_node_out is None:
+            grads.append([np.zeros_like(p) for p in dn.parameters()])
+        else:
+            gz, grads_dn = nn.backward(dn, tape_dn, grad_node_out)
+            # segment ids are nondecreasing: a member's rows start where they change
+            starts = np.flatnonzero(np.diff(dn_blocks[1][1], prepend=-1))
+            grads_dn[0], (gv_dn, gy_dn) = _first_layer_adjoint(
+                dn.weights[0], dn_blocks, [gz, np.add.reduceat(gz, starts, axis=0)])
+            gv += gv_dn
+            grads.append(grads_dn)
+
+    tape_dg, segments = stack.pop()
+    gy_graph = np.zeros((len(segments), cfg.graph_output_size))
     if grad_graph_out is not None:
         gy_graph = gy_graph + grad_graph_out
-
-    starts = np.array([start for start, _ in batch.segments])
-    lengths = np.array([length for _, length in batch.segments])
-
-    grads_dn = None
-    gv = np.zeros((g.num_nodes, nl))
-    if model.decoder_node is not None and grad_node_out is not None:
-        tape_dn, dn_blocks = tape["tape_dn"]
-        gz, grads_dn = nn.backward(model.decoder_node, tape_dn, grad_node_out)
-        grads_dn[0], (gv_dn, gy_dn) = _first_layer_adjoint(
-            model.decoder_node.weights[0], dn_blocks,
-            [gz, np.add.reduceat(gz, starts, axis=0)])
-        gv += gv_dn
+    if gy_dn is not None:
         gy_graph += gy_dn
-    elif model.decoder_node is not None:
-        grads_dn = [np.zeros_like(p) for p in model.decoder_node.parameters()]
-
-    gpooled, grads_dg = nn.backward(model.decoder_graph, tape["tape_dg"], gy_graph)
+    gpooled, grads_dg = nn.backward(model.decoder_graph, tape_dg, gy_graph)
+    lengths = np.array([length for _, length in segments])
     gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
+    grads.append(grads_dg)
 
-    r = g.receivers
-    recv_mat, send_mat = tape["recv_mat"], _incidence(g.senders, g.num_nodes)
-    ge = np.zeros((g.num_edges, nl))
-    step_grads = [None] * cfg.steps
+    r, send_mat = g.receivers, _incidence(g.senders, g.num_nodes)
     for k in range(cfg.steps - 1, -1, -1):
-        tape_pe, edge_blocks, tape_pn, node_blocks = tape["step_tapes"][k]
+        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = stack.pop()
         pe, pn = model.processor_edge[k], model.processor_node[k]
         # v_next = v + uv; e_next = e + ue; agg feeds uv, e/v feed ue
         gz, grads_pn = nn.backward(pn, tape_pn, gv)
         grads_pn[0], (gv_pn, gagg) = _first_layer_adjoint(
             pn.weights[0], node_blocks, [gz, gz])
-        gv_prev = gv + gv_pn
+        gv = gv + gv_pn
         gue = np.take(gagg, r, axis=0)
         gue += ge
         gz, grads_pe = nn.backward(pe, tape_pe, gue)
         grads_pe[0], (ge_pe, gv_s, gv_r) = _first_layer_adjoint(
             pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz])
         ge += ge_pe
-        gv_prev += gv_s
-        gv_prev += gv_r
-        gv = gv_prev
-        step_grads[k] = (grads_pe, grads_pn)
+        gv += gv_s
+        gv += gv_r
+        grads.append(grads_pe + grads_pn)
 
-    _, grads_ee = nn.backward(model.encoder_edge, tape["tape_ee"], ge, input_grad=False)
-    _, grads_ev = nn.backward(model.encoder_node, tape["tape_ev"], gv, input_grad=False)
-
-    out = grads_ee + grads_ev
-    for grads_pe, grads_pn in step_grads:
-        out += grads_pe + grads_pn
-    out += grads_dg
-    if grads_dn is not None:
-        out += grads_dn
-    return np.concatenate([g.ravel() for g in out])
+    _, tape_ee, tape_ev = stack.pop()
+    _, grads_ee = nn.backward(model.encoder_edge, tape_ee, ge, input_grad=False)
+    _, grads_ev = nn.backward(model.encoder_node, tape_ev, gv, input_grad=False)
+    grads.append(grads_ee + grads_ev)
+    return np.concatenate([p.ravel() for stage in reversed(grads) for p in stage])
 
 
 def predict(model: GnnModel, graph_or_batch):
-    """(node-level matrix or None, graph-level matrix (m, d_G))."""
-    y_node, y_graph, _ = forward(model, graph_or_batch)
-    return y_node, y_graph
+    """(node-level matrix or None, graph-level matrix (m, d_G)): the stages
+    of `forward` without a tape, so each MLP's tape is freed as it returns."""
+    return _run_stages(model, graph_or_batch, None)

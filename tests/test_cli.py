@@ -228,6 +228,38 @@ class TestBadRecords:
         err = capsys.readouterr().err
         assert f"record {recs[2].graph_id}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value, names", [
+        (None, None, "line 4"),                       # truncated line
+        ("id", None, "line 4: no 'id' field"),
+        ("positions", None, "line 4 (record {id}): no 'positions' field"),
+        ("positions", [[0.0, 0.1], [0.2]], "line 4 (record {id}): bad record"),
+        ("positions", [["a", 0.1]], "line 4 (record {id}): bad record"),
+        ("freestream", 3, "line 4 (record {id}): bad record"),
+        ("freestream", [1.0], "record {id}: freestream must be"),
+        ("freestream", ["a", "b"], "record {id}: freestream must be"),
+        ("upper_flags", [True], "record {id}: got surface flags of shape (1,)"),
+    ])
+    def test_bad_record_line_exits_2(self, workspace, capsys, field, value, names):
+        tmp_path, train_cfg, data = workspace
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[3])   # record 2, after the header
+        graph_id = rec["id"]
+        if field is None:
+            lines[3] = lines[3][:len(lines[3]) // 2]
+        else:
+            if value is None:
+                del rec[field]
+            else:
+                rec[field] = value
+            lines[3] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert names.format(id=graph_id) in err and "Traceback" not in err
+
     def test_node_target_unseen_by_zscore_fit_exits_2(self, workspace, capsys):
         tmp_path, _, data = workspace
         recs = gs.read_dataset(data)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import gnnsurrogate as gs
 from gnnsurrogate import model as gnn
 from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
                                      load_checkpoint, save_checkpoint)
-from gnnsurrogate.datasets import (DatasetFormatError, SeligParseError,
+from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, SeligParseError,
                                    chain_target, patch_target, record_from_selig)
 from gnnsurrogate.training import AdamState, PlateauSchedule
 from conftest import featurized_samples, tiny_config
@@ -52,6 +53,12 @@ class TestDatasetRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "something-else", "schema_version": 1}\n')
         with pytest.raises(DatasetFormatError):
+            gs.read_dataset(path)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('["gnn-surrogate-dataset", 1]\n')
+        with pytest.raises(DatasetFormatError, match="not a gnn-surrogate-dataset file"):
             gs.read_dataset(path)
 
     def test_wrong_version_rejected(self, tmp_path):
@@ -132,6 +139,53 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError, match=expected):
             feat.transform_all(back)
 
+    # (edit of record 1's JSONL line, whether its id can still be read)
+    LINE_PROBES = {
+        "truncated": (lambda line: line[:len(line) // 2], False),
+        "missing_id": (lambda line: _edited(line, lambda o: o.pop("id")), False),
+        "missing_positions": (lambda line: _edited(line, lambda o: o.pop("positions")), True),
+        "ragged_positions": (lambda line: _edited(
+            line, lambda o: o["positions"][1].append(0.5)), True),
+        "string_position": (lambda line: _edited(
+            line, lambda o: o["positions"][1].__setitem__(0, "a")), True),
+        "integer_freestream": (lambda line: _edited(
+            line, lambda o: o.__setitem__("freestream", 3)), True),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(LINE_PROBES))
+    def test_bad_line_named_by_read_dataset(self, tmp_path, probe):
+        corrupt, names_record = self.LINE_PROBES[probe]
+        recs = self.records()
+        path = tmp_path / "d.jsonl"
+        gs.write_dataset(recs, path)
+        lines = path.read_text().splitlines()
+        lines[2] = corrupt(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}: line 3" + (f" (record {recs[1].graph_id})" if names_record else "")
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(where + ": ")):
+            gs.read_dataset(path)
+
+    # (JSONL field, bad value for record 1, expected message)
+    AIRFOIL_PROBES = {
+        "short_upper_flags": ("upper_flags", [True], r"shape \(1,\), graph has \d+ nodes"),
+        "one_freestream": ("freestream", [1.0], r"two finite numbers .*\(1.0,\)"),
+        "string_freestream": ("freestream", ["a", "b"], r"two finite numbers .*'a', 'b'"),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(AIRFOIL_PROBES))
+    def test_bad_airfoil_record_rejected_naming_record(self, tmp_path, probe):
+        field, value, message = self.AIRFOIL_PROBES[probe]
+        recs = self.records()
+        feat = gs.Featurizer("airfoil").fit(recs)
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, field, lambda _: value)
+        back = gs.read_dataset(path)
+        expected = f"^record {recs[1].graph_id}: .*{message}"
+        with pytest.raises(DatasetFormatError, match=expected):
+            gs.Featurizer("airfoil").fit(back)
+        with pytest.raises(DatasetFormatError, match=expected):
+            feat.transform_all(back)
+
     def test_bad_chain_rejected_naming_record(self):
         rec = self.records()[0]
         rec.positions = rec.positions[:1]
@@ -152,6 +206,13 @@ SELIG_SAMPLE = """EXAMPLE AIRFOIL
 0.500  -0.040
 1.000  -0.001
 """
+
+
+def _edited(line: str, edit) -> str:
+    """A JSONL record line with `edit` applied to its object."""
+    obj = json.loads(line)
+    edit(obj)
+    return json.dumps(obj)
 
 
 class TestParseSelig:
@@ -237,6 +298,18 @@ class TestFeaturizer:
         s = samples[0]
         assert s.graph.node_features.shape[1] == 5 + 4
         assert s.graph.edge_features.shape[1] == 4
+
+    @pytest.mark.parametrize("encoding, vocabulary", [
+        ("airfoil", DEFAULT_CELL_TYPES), ("feature_design", DEFAULT_CELL_TYPES),
+        ("feature_design", ("hex", "prism", "tet"))])
+    def test_declared_widths_match_transform(self, encoding, vocabulary):
+        family = "chain" if encoding == "airfoil" else "patch3d"
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=35, count=2, min_nodes=6,
+                                                      max_nodes=9, family=family))
+        feat = gs.Featurizer(encoding, cell_type_vocabulary=vocabulary).fit(recs)
+        g = feat.transform(recs[0]).graph
+        assert feat.node_feature_width == g.node_features.shape[1]
+        assert feat.edge_feature_width == g.edge_features.shape[1]
 
     def test_target_round_trip_zscore(self):
         feat, samples = featurized_samples(32, 3, min_nodes=5, max_nodes=8)
@@ -373,6 +446,28 @@ class TestCheckpoint:
         path.write_bytes(raw[:params_header])
         with pytest.raises(CheckpointError, match="no 'params' section"):
             load_checkpoint(path)
+
+    def test_failed_save_leaves_the_old_checkpoint_whole(self, tmp_path, monkeypatch):
+        from gnnsurrogate import checkpoint
+        m, feat, path = self.resumable(tmp_path)
+        before = path.read_bytes()
+        write_section = checkpoint._write_section
+
+        def failing(fh, name, payload):
+            if name == "normalizers":
+                raise OSError("disk full")
+            write_section(fh, name, payload)
+
+        monkeypatch.setattr(checkpoint, "_write_section", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(m, feat, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        _, _, resume = load_checkpoint(path)
+        save_checkpoint(m, feat, path, resume=resume)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("section", ["params", "resume_arrays"])
     def test_array_shapes_must_match_the_config(self, tmp_path, section):

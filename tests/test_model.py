@@ -320,20 +320,6 @@ def concatenated_reference(m, batch, grad_node_out, grad_graph_out):
     return y_node, y_graph, [*grads_ee, *grads_ev, *step_grads, *grads_dg, *grads_dn]
 
 
-def staged_forward(m, batch):
-    """model.forward's outputs from the staged encode/step/decode functions."""
-    g = batch.graph
-    state = gnn.encode(m, g)
-    for k in range(m.config.steps):
-        state = gnn.message_passing_step(m, k, g, state)
-    v = state[0]
-    y_graph = gnn.decode_graph(m, v, batch.segments)
-    y_node = None
-    if m.decoder_node is not None:
-        y_node = gnn.decode_node(m, v, y_graph, batch.segment_ids())
-    return y_node, y_graph
-
-
 def assert_agree(actual, expected, tol=1e-12):
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
     assert np.abs(actual - expected).max(initial=0.0) <= tol * scale
@@ -380,13 +366,10 @@ class TestBlockwiseFirstLayers:
 
         y_node, y_graph, tape = gnn.forward(m, batch)
         grads = m.split(gnn.backward(m, tape, grad_node_out=g_node, grad_graph_out=g_graph))
-        s_node, s_graph = staged_forward(m, batch)
         r_node, r_graph, r_grads = concatenated_reference(m, batch, g_node, g_graph)
 
-        assert_agree(y_graph, s_graph)
         assert_agree(y_graph, r_graph)
         if node_level:
-            assert_agree(y_node, s_node)
             assert_agree(y_node, r_node)
         assert len(grads) == len(r_grads)
         for got, want in zip(grads, r_grads):
@@ -421,6 +404,63 @@ class TestBlockwiseFirstLayers:
                     w[row, col] = orig
                     fd = (fp - fm) / (2 * h)
                     assert abs(fd - gw[row, col]) <= 1e-6 * max(1e-3, abs(fd)), (k, row, col)
+
+
+def recording(fn, log, pick):
+    """`fn`, appending pick(args, result) to `log` on every call."""
+    def wrapper(*args):
+        out = fn(*args)
+        log.append(pick(args, out))
+        return out
+    return wrapper
+
+
+class TestSinglePath:
+    """forward and predict both run the staged encode / message_passing_step
+    / decode_* functions."""
+
+    @pytest.mark.parametrize("node_out", [1, None])
+    def test_predict_equals_forward_bit_for_bit(self, rng, node_out):
+        m = gnn.build_model(tiny_config(node_out=node_out), 16)
+        graphs = [make_featurized(rng, n=int(rng.integers(3, 8))) for _ in range(3)]
+        for g in (graphs[0], merge_batch(graphs)):
+            y_node, y_graph, _ = gnn.forward(m, g)
+            p_node, p_graph = gnn.predict(m, g)
+            assert np.array_equal(p_graph, y_graph)
+            if node_out is None:
+                assert y_node is None and p_node is None
+            else:
+                assert np.array_equal(p_node, y_node)
+
+    def test_standalone_step_equals_the_step_inside_forward(self, rng, monkeypatch):
+        m = gnn.build_model(tiny_config(steps=3), 17)
+        g = make_featurized(rng, n=7)
+        inside = []
+        monkeypatch.setattr(gnn, "message_passing_step", recording(
+            gnn.message_passing_step, inside, lambda args, out: (args[3], out)))
+        gnn.forward(m, merge_batch([g]))
+        monkeypatch.undo()
+        assert len(inside) == 3
+        for k, (state, (v, e)) in enumerate(inside):
+            v_alone, e_alone = gnn.message_passing_step(m, k, g, state)  # own incidence
+            assert np.array_equal(v_alone, v) and np.array_equal(e_alone, e)
+
+    def test_one_receiver_incidence_per_call_and_no_tape_in_predict(self, rng, monkeypatch):
+        m = gnn.build_model(tiny_config(steps=3), 18)
+        batch = merge_batch([make_featurized(rng, n=5), make_featurized(rng, n=4)])
+        built, tapes = [], []
+        monkeypatch.setattr(gnn, "_incidence", recording(
+            gnn._incidence, built, lambda args, _: np.array_equal(args[0], batch.graph.receivers)))
+        for name in ("encode", "message_passing_step", "decode_graph", "decode_node"):
+            monkeypatch.setattr(gnn, name, recording(getattr(gnn, name), tapes,
+                                                     lambda args, _: args[-1]))
+        _, _, tape = gnn.forward(m, batch)
+        assert built == [True]
+        assert len(tape) == len(tapes) == 6 and all(t is tape for t in tapes)  # 1 + 3 + 2 stages
+        built.clear()
+        tapes.clear()
+        gnn.predict(m, batch)
+        assert built == [True] and tapes == [None] * 6
 
 
 class TestFlatParameters:
