@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 
 import numpy as np
@@ -84,6 +85,10 @@ def _train_config(sec, task: str, seed_override) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log or (str(args.out) + ".log")
+    for flag, path in (("--out", args.out), ("--log", log_path)):
+        if os.path.isdir(path):      # refused now, not after every epoch has trained
+            raise IsADirectoryError(f"{flag} {path} is a directory")
     cfg = _load_ini(args.config)
     task = cfg["model"].get("task", "node_level")
     records = read_dataset(args.data)
@@ -116,7 +121,6 @@ def cmd_train(args) -> int:
     resume_out = ckpt.TrainResumeState(adam=adam, schedule=sched, epoch=final_epoch)
     ckpt.save_checkpoint(model, featurizer, args.out, resume=resume_out)
 
-    log_path = args.log or (str(args.out) + ".log")
     with open(log_path, "w") as fh:
         for rec in log.records:
             fh.write(json.dumps({"epoch": rec.epoch, "loss": rec.mean_loss,
@@ -235,8 +239,10 @@ def cli_main(argv=None) -> int:
     except training.TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, IndexError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, configparser.Error, IndexError, KeyError,
+            RuntimeError) as exc:
+        message = " ".join(str(exc).splitlines())   # configparser's span lines
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -94,6 +94,14 @@ def _record_to_json(rec: GraphRecord) -> dict:
     return out
 
 
+def _flags_from_json(flags) -> np.ndarray:
+    """JSON booleans only: numpy would read any non-empty string, "false"
+    included, as True."""
+    if not isinstance(flags, list) or not all(isinstance(f, bool) for f in flags):
+        raise ValueError("upper_flags must be a list of JSON booleans (true/false)")
+    return np.array(flags, dtype=bool)
+
+
 def _record_from_json(obj: dict) -> GraphRecord:
     return GraphRecord(
         graph_id=str(obj["id"]),
@@ -102,8 +110,7 @@ def _record_from_json(obj: dict) -> GraphRecord:
         chain=bool(obj.get("chain", False)),
         closed=bool(obj.get("closed", False)),
         node_cell_types=obj.get("node_cell_types"),
-        upper_flags=None if "upper_flags" not in obj
-        else np.asarray(obj["upper_flags"], dtype=bool),
+        upper_flags=None if "upper_flags" not in obj else _flags_from_json(obj["upper_flags"]),
         freestream=None if "freestream" not in obj else tuple(obj["freestream"]),
         node_target=None if "node_target" not in obj
         else np.asarray(obj["node_target"], dtype=np.float64),

@@ -61,7 +61,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
-    """Row-batched forward pass; returns (output, tape for backward).
+    """Row-batched forward pass; returns (output, tape for one backward).
 
     The tape is (hs, zs): hs[k] is layer k's input and zs[k] its
     pre-activation, held as w0*z for sine layers so that backward takes the
@@ -82,8 +82,7 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
             raise ValueError(f"first pre-activation width {z.shape[1]}, "
                              f"expected {mlp.weights[0].shape[1]}")
     w0 = cfg.sine_frequency
-    hs = [x]       # layer inputs
-    zs = []        # pre-activations (times w0 for sine layers)
+    hs, zs = [x], []    # layer inputs; pre-activations (times w0 for sine layers)
     last = len(mlp.weights) - 1
     for k, b in enumerate(mlp.biases):
         if k > 0:
@@ -101,35 +100,39 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
     return h, (hs, zs)
 
 
-def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True):
-    """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]).
+def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
+             out: list | None = None):
+    """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]),
+    written into `out` (one array per parameter) when it is given.
 
-    With `input_grad` False the input gradient is not formed and None is
-    returned for it. For a tape recorded from `z0`, the first element is the
-    gradient wrt the first pre-activation and gW0 is None: the caller that
-    formed z0 also forms its adjoint.
-    """
-    if tape is None:
-        raise RuntimeError("backward called without a recorded forward tape")
+    The tape is single-use: its layers are popped and overwritten, so a
+    second backward on it raises RuntimeError; x and grad_output are only
+    read. With `input_grad` False the input gradient is None. For a tape
+    recorded from `z0`, the first element is the gradient wrt the first
+    pre-activation and gW0 is left to the caller that formed z0."""
+    if tape is None or len(tape[1]) != len(mlp.weights):
+        raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
     cfg = mlp.config
     w0 = cfg.sine_frequency
     g = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
     last = len(mlp.weights) - 1
-    param_grads = [None] * (2 * len(mlp.weights))
+    param_grads = [None] * (2 * len(mlp.weights)) if out is None else out
+    hs.pop()                                # the output
     for k in range(last, -1, -1):
-        z = zs[k]
+        z, h = zs.pop(), hs.pop()
         if k < last or cfg.output_activation == "sine":
-            gz = np.cos(z)
+            gz = np.cos(z, out=z)
             gz *= w0
             gz *= g
         elif cfg.output_activation == "relu":
             gz = g * (z > 0.0)
         else:
             gz = g
-        param_grads[2 * k + 1] = gz.sum(axis=0)
-        if k == 0 and hs[0] is None:
+        param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
+        if h is None:
             return gz, param_grads
-        param_grads[2 * k] = hs[k].T @ gz
-        g = gz @ mlp.weights[k].T if k > 0 or input_grad else None
+        param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
+        # hs[k] is dead once gW is formed; hs[0] is the caller's x
+        g = np.matmul(gz, mlp.weights[k].T, out=h if k else None) if k or input_grad else None
     return g, param_grads

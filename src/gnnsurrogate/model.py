@@ -184,20 +184,19 @@ def _first_layer(w: np.ndarray, blocks) -> np.ndarray:
     return z
 
 
-def _first_layer_adjoint(w: np.ndarray, blocks, sums):
+def _first_layer_adjoint(w: np.ndarray, blocks, sums, gw: np.ndarray):
     """Adjoint of `_first_layer`.
 
     sums[i] is the pre-activation gradient summed onto the rows of block i's
-    array (the gradient itself for a block with rows None). Returns the
-    gradient wrt w and the gradient wrt each block's array.
-    """
-    gw = np.concatenate([x.T @ g for (x, _), g in zip(blocks, sums)])
+    array (the gradient itself for a block with rows None). Writes the
+    gradient wrt w into `gw`; returns the gradient wrt each block's array."""
     gxs, lo = [], 0
     for (x, _), g in zip(blocks, sums):
         hi = lo + x.shape[1]
+        np.matmul(x.T, g, out=gw[lo:hi])
         gxs.append(g @ w[lo:hi].T)
         lo = hi
-    return gw, gxs
+    return gxs
 
 
 def encode(model: GnnModel, graph: Graph, tape: list | None = None):
@@ -230,7 +229,8 @@ def message_passing_step(model: GnnModel, k: int, graph: Graph, state,
     uv, tape_pn = nn.forward_tape(pn, None, z0=_first_layer(pn.weights[0], node_blocks))
     if tape is not None:
         tape.append((recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks))
-    return v + uv, e + ue
+    # in place: backward never reads the output of the MLPs' linear heads
+    return np.add(v, uv, out=uv), np.add(e, ue, out=ue)
 
 
 def decode_graph(model: GnnModel, latent_nodes: np.ndarray, segments,
@@ -280,8 +280,9 @@ def forward(model: GnnModel, graph_or_batch):
 
     Returns (node_out or None, graph_out (m, d_G), tape). graph_out for a
     node-level task is the internal pooled context, not a supervised output.
-    The tape is the stack of the stages' entries in the order they ran; a
-    blockwise MLP's entry holds its blocks (latent arrays, gather indices)."""
+    The tape, for one `backward` to consume, is the stack of the stages'
+    entries in the order they ran; a blockwise MLP's entry holds its blocks
+    (latent arrays, gather indices)."""
     tape = []
     y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
@@ -289,70 +290,66 @@ def forward(model: GnnModel, graph_or_batch):
 
 def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     """Adjoint pass; returns the parameter gradient as one vector laid out
-    like `model.flat` (`model.split` gives it per parameter).
-
-    Pops `forward`'s tape stack (a copy) and runs each stage's adjoint: the
-    decoders, the steps from last to first, the encoders. A blockwise MLP's
-    backward stops at its first pre-activation gradient gz0; the sender and
-    receiver sums of gz0 (one incidence matmul each) then give the
-    first-layer weight blocks and the node gradients."""
+    like `model.flat` (`model.split` gives it per parameter), written
+    through views. Consumes `forward`'s tape, popping the decoders, the steps
+    from last to first and the encoders, so a second backward on it raises
+    RuntimeError. A blockwise MLP's backward stops at its first
+    pre-activation gradient gz0; the sender and receiver sums of gz0 (one
+    incidence matmul each) then give the first-layer weight blocks and the
+    node gradients."""
     cfg = model.config
-    stack = list(tape)
-    g = stack[0][0]              # encode's entry, at the bottom, holds the graph
+    if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
+        raise RuntimeError("backward needs a forward tape no backward has consumed")
+    g = tape[0][0]               # encode's entry, at the bottom, holds the graph
     gv = np.zeros((g.num_nodes, cfg.latent_size))
     ge = np.zeros((g.num_edges, cfg.latent_size))
-    grads = []                   # each stage's parameter gradients, last stage first
+    grad = np.zeros_like(model.flat)
+    views, n = model.split(grad), 2 * (cfg.depth + 1)
+    outs = [views[i:i + n] for i in range(0, len(views), n)]   # per MLP, popped as the tape
 
     gy_dn = None
     if model.decoder_node is not None:
-        dn = model.decoder_node
-        tape_dn, dn_blocks = stack.pop()
-        if grad_node_out is None:
-            grads.append([np.zeros_like(p) for p in dn.parameters()])
-        else:
-            gz, grads_dn = nn.backward(dn, tape_dn, grad_node_out)
+        dn, out_dn = model.decoder_node, outs.pop()
+        tape_dn, dn_blocks = tape.pop()
+        if grad_node_out is not None:
+            gz, _ = nn.backward(dn, tape_dn, grad_node_out, out=out_dn)
             # segment ids are nondecreasing: a member's rows start where they change
             starts = np.flatnonzero(np.diff(dn_blocks[1][1], prepend=-1))
-            grads_dn[0], (gv_dn, gy_dn) = _first_layer_adjoint(
-                dn.weights[0], dn_blocks, [gz, np.add.reduceat(gz, starts, axis=0)])
+            gv_dn, gy_dn = _first_layer_adjoint(
+                dn.weights[0], dn_blocks, [gz, np.add.reduceat(gz, starts, axis=0)], out_dn[0])
             gv += gv_dn
-            grads.append(grads_dn)
 
-    tape_dg, segments = stack.pop()
+    tape_dg, segments = tape.pop()
     gy_graph = np.zeros((len(segments), cfg.graph_output_size))
     if grad_graph_out is not None:
         gy_graph = gy_graph + grad_graph_out
     if gy_dn is not None:
         gy_graph += gy_dn
-    gpooled, grads_dg = nn.backward(model.decoder_graph, tape_dg, gy_graph)
+    gpooled, _ = nn.backward(model.decoder_graph, tape_dg, gy_graph, out=outs.pop())
     lengths = np.array([length for _, length in segments])
     gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
-    grads.append(grads_dg)
 
     r, send_mat = g.receivers, _incidence(g.senders, g.num_nodes)
     for k in range(cfg.steps - 1, -1, -1):
-        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = stack.pop()
+        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
         pe, pn = model.processor_edge[k], model.processor_node[k]
         # v_next = v + uv; e_next = e + ue; agg feeds uv, e/v feed ue
-        gz, grads_pn = nn.backward(pn, tape_pn, gv)
-        grads_pn[0], (gv_pn, gagg) = _first_layer_adjoint(
-            pn.weights[0], node_blocks, [gz, gz])
-        gv = gv + gv_pn
+        gz, grads_pn = nn.backward(pn, tape_pn, gv, out=outs.pop())
+        gv_pn, gagg = _first_layer_adjoint(pn.weights[0], node_blocks, [gz, gz], grads_pn[0])
+        gv += gv_pn
         gue = np.take(gagg, r, axis=0)
         gue += ge
-        gz, grads_pe = nn.backward(pe, tape_pe, gue)
-        grads_pe[0], (ge_pe, gv_s, gv_r) = _first_layer_adjoint(
-            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz])
+        gz, grads_pe = nn.backward(pe, tape_pe, gue, out=outs.pop())
+        ge_pe, gv_s, gv_r = _first_layer_adjoint(
+            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz], grads_pe[0])
         ge += ge_pe
         gv += gv_s
         gv += gv_r
-        grads.append(grads_pe + grads_pn)
 
-    _, tape_ee, tape_ev = stack.pop()
-    _, grads_ee = nn.backward(model.encoder_edge, tape_ee, ge, input_grad=False)
-    _, grads_ev = nn.backward(model.encoder_node, tape_ev, gv, input_grad=False)
-    grads.append(grads_ee + grads_ev)
-    return np.concatenate([p.ravel() for stage in reversed(grads) for p in stage])
+    _, tape_ee, tape_ev = tape.pop()
+    nn.backward(model.encoder_node, tape_ev, gv, input_grad=False, out=outs.pop())
+    nn.backward(model.encoder_edge, tape_ee, ge, input_grad=False, out=outs.pop())
+    return grad
 
 
 def predict(model: GnnModel, graph_or_batch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gnnsurrogate as gs
+from gnnsurrogate import training
 from gnnsurrogate.cli import cli_main
 from conftest import untimed_log
 
@@ -275,3 +276,56 @@ class TestBadRecords:
         assert cli_main(["eval", "--ckpt", str(out), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert recs[0].graph_id in err and "Traceback" not in err
+
+    def test_string_upper_flags_exit_2(self, workspace, capsys):
+        tmp_path, train_cfg, data = workspace
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[3])   # record 2, after the header
+        rec["upper_flags"] = ["false"] * len(rec["upper_flags"])
+        lines[3] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert f"line 4 (record {rec['id']}): bad record: upper_flags must be" in err
+        assert "Traceback" not in err
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started before the bad input was refused")
+
+
+class TestBadInvocations:
+    """A path or config file the CLI cannot use exits 2 with one `error:`
+    line, before any training."""
+
+    CASES = {
+        "train_data_is_a_directory": "train --config {cfg} --data {dir} --out {out}",
+        "train_out_is_a_directory": "train --config {cfg} --data {data} --out {dir}",
+        "train_log_is_a_directory": "train --config {cfg} --data {data} --out {out} --log {dir}",
+        "train_ini_without_section_header": "train --config {bare} --data {data} --out {out}",
+        "gen_ini_without_section_header": "gen --config {bare} --out {out}",
+        "gen_out_is_a_directory": "gen --config {gen} --out {dir}",
+        "eval_ckpt_is_a_directory": "eval --ckpt {dir} --data {data}",
+        "predict_data_is_a_directory": "predict --ckpt {dir} --data {dir}",
+        "inspect_data_is_a_directory": "inspect --data {dir}",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch, case):
+        tmp_path, train_cfg, data = workspace
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "bare.ini").write_text("epochs = 3\n")
+        paths = {"cfg": train_cfg, "data": data, "dir": tmp_path / "dir",
+                 "out": tmp_path / "m.ckpt", "bare": tmp_path / "bare.ini",
+                 "gen": tmp_path / "gen.ini"}
+        argv = [arg.format(**{k: str(v) for k, v in paths.items()})
+                for arg in self.CASES[case].split()]
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err

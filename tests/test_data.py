@@ -186,6 +186,19 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError, match=expected):
             feat.transform_all(back)
 
+    @pytest.mark.parametrize("flags", [["false"], ["true"], [0], [None], "true"],
+                             ids=["string_false", "string_true", "integer", "null",
+                                  "not_a_list"])
+    def test_upper_flags_must_be_json_booleans(self, tmp_path, flags):
+        recs = self.records()
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, "upper_flags",
+                                   lambda old: flags * len(old) if isinstance(flags, list) else flags)
+        where = f"{path}: line 3 (record {recs[1].graph_id}): "
+        with pytest.raises(DatasetFormatError,
+                           match="^" + re.escape(where) + ".*list of JSON booleans"):
+            gs.read_dataset(path)
+
     def test_bad_chain_rejected_naming_record(self):
         rec = self.records()[0]
         rec.positions = rec.positions[:1]

@@ -211,6 +211,7 @@ class TestInPlaceChainExact:
         x = np.random.default_rng(4).normal(size=(5, 3))
         _, tape = forward_tape(mlp, x)
         gx, grads = backward(mlp, tape, np.ones((5, 2)), input_grad=False)
+        _, tape = forward_tape(mlp, x)      # a tape is consumed by its backward
         _, full = backward(mlp, tape, np.ones((5, 2)))
         assert gx is None
         for a, b in zip(grads, full):
@@ -220,3 +221,42 @@ class TestInPlaceChainExact:
         mlp = he_init(MlpConfig(input_size=3, depth=1, width=4, output_size=1), 0)
         with pytest.raises(ValueError):
             forward_tape(mlp, None, z0=np.zeros((2, 3)))
+
+
+class TestSingleUseTape:
+    @pytest.mark.parametrize("first_product", [False, True])
+    def test_second_backward_raises(self, first_product):
+        mlp = he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2), 5)
+        x = np.random.default_rng(6).normal(size=(5, 3))
+        _, tape = (forward_tape(mlp, None, z0=x @ mlp.weights[0]) if first_product
+                   else forward_tape(mlp, x))
+        backward(mlp, tape, np.ones((5, 2)))
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(mlp, tape, np.ones((5, 2)))
+
+    @pytest.mark.parametrize("act", ["linear", "relu", "sine"])
+    def test_out_is_filled_and_callers_arrays_unchanged(self, act):
+        rng = np.random.default_rng(7)
+        mlp = he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2,
+                                output_activation=act, sine_frequency=0.5), rng)
+        x, g_out = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        x0, g0 = x.copy(), g_out.copy()
+        gx_ref, grads_ref = backward(mlp, forward_tape(mlp, x)[1], g_out)
+
+        y, tape = forward_tape(mlp, x)
+        y0 = y.copy()
+        out = [np.full_like(p, np.nan) for p in mlp.parameters()]
+        gx, grads = backward(mlp, tape, g_out, out=out)
+        assert grads is out
+        np.testing.assert_array_equal(gx, gx_ref)
+        for got, want in zip(out, grads_ref):
+            np.testing.assert_array_equal(got, want)
+        for now, before in ((x, x0), (g_out, g0), (y, y0)):
+            np.testing.assert_array_equal(now, before)
+
+        # from a caller-formed first product, gW0 is left to the caller
+        out = [np.full_like(p, np.nan) for p in mlp.parameters()]
+        backward(mlp, forward_tape(mlp, None, z0=x @ mlp.weights[0])[1], g_out, out=out)
+        assert np.isnan(out[0]).all()
+        for got, want in zip(out[1:], grads_ref[1:]):
+            np.testing.assert_array_equal(got, want)

@@ -514,3 +514,126 @@ class TestFlatParameters:
         grad = gnn.backward(m, tape, grad_node_out=np.ones((batch.graph.num_nodes, 1)))
         assert grad.shape == m.flat.shape
         assert [g.shape for g in m.split(grad)] == [p.shape for p in m.parameters()]
+
+
+def allocating_backward(m, tape, grad_node_out, grad_graph_out):
+    """`gnn.backward` as it was before gradients were written in place: every
+    gradient array allocated, the vector formed by one concatenate."""
+    def adjoint(w, blocks, sums):
+        lo = np.cumsum([0] + [x.shape[1] for x, _ in blocks])
+        return (np.concatenate([x.T @ g for (x, _), g in zip(blocks, sums)]),
+                [g @ w[a:b].T for g, a, b in zip(sums, lo[:-1], lo[1:])])
+
+    cfg, g = m.config, tape[0][0]
+    gv = np.zeros((g.num_nodes, cfg.latent_size))
+    ge = np.zeros((g.num_edges, cfg.latent_size))
+    grads, gy_dn = [], None
+    if m.decoder_node is not None:
+        dn = m.decoder_node
+        tape_dn, blocks = tape.pop()
+        if grad_node_out is None:
+            grads.append([np.zeros_like(p) for p in dn.parameters()])
+        else:
+            gz, grads_dn = nn.backward(dn, tape_dn, grad_node_out)
+            starts = np.flatnonzero(np.diff(blocks[1][1], prepend=-1))
+            grads_dn[0], (gv_dn, gy_dn) = adjoint(
+                dn.weights[0], blocks, [gz, np.add.reduceat(gz, starts, axis=0)])
+            gv += gv_dn
+            grads.append(grads_dn)
+    tape_dg, segments = tape.pop()
+    gy_graph = np.zeros((len(segments), cfg.graph_output_size))
+    if grad_graph_out is not None:
+        gy_graph = gy_graph + grad_graph_out
+    if gy_dn is not None:
+        gy_graph += gy_dn
+    gpooled, grads_dg = nn.backward(m.decoder_graph, tape_dg, gy_graph)
+    lengths = np.array([length for _, length in segments])
+    gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
+    grads.append(grads_dg)
+    send_mat = gnn._incidence(g.senders, g.num_nodes)
+    for k in range(cfg.steps - 1, -1, -1):
+        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
+        pe, pn = m.processor_edge[k], m.processor_node[k]
+        gz, grads_pn = nn.backward(pn, tape_pn, gv)
+        grads_pn[0], (gv_pn, gagg) = adjoint(pn.weights[0], node_blocks, [gz, gz])
+        gv = gv + gv_pn
+        gue = np.take(gagg, g.receivers, axis=0)
+        gue += ge
+        gz, grads_pe = nn.backward(pe, tape_pe, gue)
+        grads_pe[0], (ge_pe, gv_s, gv_r) = adjoint(
+            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz])
+        ge += ge_pe
+        gv += gv_s
+        gv += gv_r
+        grads.append(grads_pe + grads_pn)
+    _, tape_ee, tape_ev = tape.pop()
+    _, grads_ee = nn.backward(m.encoder_edge, tape_ee, ge, input_grad=False)
+    _, grads_ev = nn.backward(m.encoder_node, tape_ev, gv, input_grad=False)
+    grads.append(grads_ee + grads_ev)
+    return np.concatenate([p.ravel() for stage in reversed(grads) for p in stage])
+
+
+class TestSingleUseTape:
+    """backward consumes the tape of one forward call and writes the
+    gradient into one vector."""
+
+    @pytest.mark.parametrize("node_out", [1, None])
+    def test_second_backward_raises(self, rng, node_out):
+        m = gnn.build_model(tiny_config(node_out=node_out), 20)
+        batch = merge_batch([make_featurized(rng, n=5), make_featurized(rng, n=4)])
+        _, y_graph, tape = gnn.forward(m, batch)
+        grads = dict(grad_node_out=np.ones((9, 1))) if node_out else \
+            dict(grad_graph_out=np.ones_like(y_graph))
+        gnn.backward(m, tape, **grads)
+        assert tape == []
+        with pytest.raises(RuntimeError, match="consumed"):
+            gnn.backward(m, tape, **grads)
+
+    @pytest.mark.parametrize("node_act", ["linear", "relu", "sine"])
+    @pytest.mark.parametrize("graph_act", ["linear", "relu", "sine"])
+    def test_callers_arrays_unchanged(self, rng, monkeypatch, node_act, graph_act):
+        m = gnn.build_model(tiny_config(steps=3, node_output_activation=node_act,
+                                        graph_output_activation=graph_act), 21)
+        batch = merge_batch([make_featurized(rng, n=6), make_featurized(rng, n=5)])
+        states = []
+        monkeypatch.setattr(gnn, "message_passing_step", recording(
+            gnn.message_passing_step, states,
+            lambda args, _: (args[3], [a.copy() for a in args[3]])))
+        y_node, y_graph, tape = gnn.forward(m, batch)
+        g_node = rng.normal(size=y_node.shape)
+        g_graph = rng.normal(size=y_graph.shape)
+        g = batch.graph
+        held = [y_node, y_graph, g_node, g_graph, g.node_features, g.edge_features]
+        before = [a.copy() for a in held]
+        gnn.backward(m, tape, grad_node_out=g_node, grad_graph_out=g_graph)
+        for now, then in zip(held, before):
+            np.testing.assert_array_equal(now, then)
+        assert len(states) == 3
+        for state, copies in states:
+            for now, then in zip(state, copies):
+                np.testing.assert_array_equal(now, then)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_vector_equals_the_allocated_concatenation(self, data):
+        # the draws of test_forward_backward_match_concatenated
+        latent = data.draw(st.integers(2, 5), label="latent")
+        node_level = data.draw(st.booleans(), label="node_level")
+        cfg = tiny_config(node_in=3, edge_in=2, latent=latent,
+                          width=latent + data.draw(st.sampled_from([-1, 1, 3])),
+                          steps=data.draw(st.integers(1, 3), label="steps"),
+                          depth=data.draw(st.integers(1, 3), label="depth"),
+                          graph_out=2, node_out=1 if node_level else None,
+                          sine_frequency=data.draw(st.sampled_from([0.5, 1.0])))
+        graphs = data.draw(st.lists(directed_graphs(3, 2), min_size=1, max_size=3))
+        batch = merge_batch(graphs)
+        m = gnn.build_model(cfg, data.draw(st.integers(0, 1000), label="model seed"))
+        rng = np.random.default_rng(0)
+        g_node = rng.normal(size=(batch.graph.num_nodes, 1)) if node_level else None
+        g_graph = rng.normal(size=(len(graphs), 2))
+
+        want = allocating_backward(m, gnn.forward(m, batch)[2], g_node, g_graph)
+        got = gnn.backward(m, gnn.forward(m, batch)[2], grad_node_out=g_node,
+                           grad_graph_out=g_graph)
+        assert got.shape == m.flat.shape
+        np.testing.assert_array_equal(got, want)
