@@ -18,6 +18,10 @@ from .training import AdamState, PlateauSchedule
 
 MAGIC = b"GNNSCKPT"
 VERSION = 1
+# Featurizer.NORMALIZERS are held in 'normalizers' as (shift, scale) pairs, in
+# that order, and its settings in meta. AdamState's moments are held in
+# 'resume_arrays', and its scalars in 'resume_meta'.
+_MOMENTS = ("m", "v")
 
 
 class CheckpointError(ValueError):
@@ -111,6 +115,16 @@ def _json_section(sections: dict, name: str) -> dict:
     return obj
 
 
+def _fields(obj, skip=()) -> dict:
+    """The dataclass `obj`'s fields, less `skip`, by name in field order."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def _entries(entries: dict, kind, skip=()) -> dict:
+    """The entries naming the fields of dataclass `kind`, less `skip`."""
+    return {f.name: entries[f.name] for f in dataclasses.fields(kind) if f.name not in skip}
+
+
 def _vector(model: GnnModel, arrays, section: str) -> np.ndarray:
     """Per-parameter arrays as one vector laid out like model.flat."""
     try:
@@ -121,22 +135,14 @@ def _vector(model: GnnModel, arrays, section: str) -> np.ndarray:
 
 def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
                     resume: TrainResumeState | None = None):
-    cfg = model.config
     meta = {
-        "model": dataclasses.asdict(cfg),
-        "featurizer": {
-            "encoding_kind": featurizer.encoding_kind,
-            "cell_type_vocabulary": list(featurizer.cell_type_vocabulary),
-            "node_target_mode": featurizer.node_target_mode,
-            "use_speed_squared": featurizer.use_speed_squared,
-            "has_target_norm": featurizer.target_norm is not None,
-        },
+        "model": dataclasses.asdict(model.config),
+        "featurizer": {**_fields(featurizer, skip=Featurizer.NORMALIZERS),
+                       "has_target_norm": featurizer.target_norm is not None},
         "has_resume": resume is not None,
     }
-    norm_arrays = [featurizer.node_norm.shift, featurizer.node_norm.scale,
-                   featurizer.edge_norm.shift, featurizer.edge_norm.scale]
-    if featurizer.target_norm is not None:
-        norm_arrays += [featurizer.target_norm.shift, featurizer.target_norm.scale]
+    norms = [getattr(featurizer, name) for name in Featurizer.NORMALIZERS]
+    norm_arrays = [a for n in norms if n is not None for a in (n.shift, n.scale)]
     # written beside `path` and renamed over it, so a failed save leaves any
     # earlier checkpoint there whole
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -158,13 +164,8 @@ def _write_checkpoint(fh, model: GnnModel, meta: dict, norm_arrays, resume):
     _write_section(fh, "params", _pack_arrays(model.parameters()))
     _write_section(fh, "normalizers", _pack_arrays(norm_arrays))
     if resume is not None:
-        sched = resume.schedule
-        scalars = {"t": resume.adam.t, "beta1": resume.adam.beta1,
-                   "beta2": resume.adam.beta2, "eps": resume.adam.eps,
-                   "lr": sched.lr, "factor": sched.factor,
-                   "patience": sched.patience, "min_delta": sched.min_delta,
-                   "lr_min": sched.lr_min, "best": sched.best,
-                   "bad_epochs": sched.bad_epochs, "epoch": resume.epoch}
+        scalars = {**_fields(resume.adam, skip=_MOMENTS),
+                   **dataclasses.asdict(resume.schedule), "epoch": resume.epoch}
         _write_section(fh, "resume_meta", json.dumps(scalars).encode())
         _write_section(fh, "resume_arrays", _pack_arrays(
             model.split(resume.adam.m) + model.split(resume.adam.v)))
@@ -191,16 +192,10 @@ def load_checkpoint(path):
         _section(sections, name)
 
     try:
-        cfg = GnnConfig(**meta["model"])
-        model = build_model(cfg, seed=0)
-        fmeta = meta["featurizer"]
-        featurizer = Featurizer(
-            encoding_kind=fmeta["encoding_kind"],
-            cell_type_vocabulary=tuple(fmeta["cell_type_vocabulary"]),
-            node_target_mode=fmeta["node_target_mode"],
-            use_speed_squared=fmeta["use_speed_squared"],
-        )
-        has_target_norm = fmeta["has_target_norm"]
+        model = build_model(GnnConfig(**meta["model"]), seed=0)
+        featurizer = Featurizer(**_entries(meta["featurizer"], Featurizer,
+                                           skip=Featurizer.NORMALIZERS))
+        has_target_norm = meta["featurizer"]["has_target_norm"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"section 'meta': bad model or featurizer entry: {exc!r}") from exc
     model.flat[:] = _vector(model, _unpack_arrays(sections["params"], "params"), "params")
@@ -210,10 +205,8 @@ def load_checkpoint(path):
     if len(norm_arrays) != expected:
         raise CheckpointError(f"section 'normalizers': {len(norm_arrays)} arrays, "
                               f"expected {expected}")
-    featurizer.node_norm = Normalizer(shift=norm_arrays[0], scale=norm_arrays[1])
-    featurizer.edge_norm = Normalizer(shift=norm_arrays[2], scale=norm_arrays[3])
-    if has_target_norm:
-        featurizer.target_norm = Normalizer(shift=norm_arrays[4], scale=norm_arrays[5])
+    for name, shift, scale in zip(Featurizer.NORMALIZERS, norm_arrays[::2], norm_arrays[1::2]):
+        setattr(featurizer, name, Normalizer(shift=shift, scale=scale))
 
     resume = None
     if meta.get("has_resume"):
@@ -226,13 +219,8 @@ def load_checkpoint(path):
         try:
             adam = AdamState(m=_vector(model, arrays[:half], "resume_arrays (Adam m)"),
                              v=_vector(model, arrays[half:], "resume_arrays (Adam v)"),
-                             t=scalars["t"], beta1=scalars["beta1"],
-                             beta2=scalars["beta2"], eps=scalars["eps"])
-            sched = PlateauSchedule(lr=scalars["lr"], factor=scalars["factor"],
-                                    patience=scalars["patience"],
-                                    min_delta=scalars["min_delta"],
-                                    lr_min=scalars["lr_min"], best=scalars["best"],
-                                    bad_epochs=scalars["bad_epochs"])
+                             **_entries(scalars, AdamState, skip=_MOMENTS))
+            sched = PlateauSchedule(**_entries(scalars, PlateauSchedule))
             resume = TrainResumeState(adam=adam, schedule=sched, epoch=scalars["epoch"])
         except KeyError as exc:
             raise CheckpointError(f"section 'resume_meta': no entry {exc}") from exc

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluation, training
@@ -17,71 +16,85 @@ from .datasets import (Featurizer, SyntheticSpec, generate_synthetic,
                        read_dataset, write_dataset)
 
 
+class ConfigFileError(ValueError):
+    """An INI section or key the program cannot use, naming file, section and key."""
+
+
+# dataclass field -> its INI key, where the two differ
+_INI_KEYS = {"encoding_kind": "encoding", "node_target_mode": "target_mode"}
+# fields the program sets: input widths, task (from [model] task), normalizers
+_DERIVED = {"node_input_size", "edge_input_size", "task", *Featurizer.NORMALIZERS}
+# a field's annotation, less any "| None" -> the section method converting it
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean",
+            "str": "get", "tuple": "gettuple"}
+
+
 def _load_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(
+        converters={"tuple": lambda v: tuple(s.strip() for s in v.split(","))})
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
     return parser
 
 
+def _read_section(cfg, path, section: str, *kinds, extra=()) -> list[dict]:
+    """Keyword arguments for each dataclass in `kinds`, read from INI
+    `section` by the dataclass's own fields. A key sets the field it names
+    (or its `_INI_KEYS` name). Keys in `extra` are left to the caller."""
+    if not cfg.has_section(section):
+        raise ConfigFileError(f"{path}: no [{section}] section")
+    sec = cfg[section]
+    out = [{} for _ in kinds]
+    fields = {_INI_KEYS.get(f.name, f.name): (kwargs, f)
+              for kwargs, kind in zip(out, kinds)
+              for f in dataclasses.fields(kind) if f.name not in _DERIVED}
+    for key in sec:
+        if key in extra:
+            continue
+        if key not in fields:
+            raise ConfigFileError(f"{path}: [{section}] {key}: unknown key (accepted: "
+                                  f"{', '.join(sorted([*fields, *extra]))})")
+        kwargs, f = fields[key]
+        try:
+            kwargs[f.name] = getattr(sec, _GETTERS[f.type.removesuffix(" | None")])(key)
+        except ValueError as exc:
+            raise ConfigFileError(f"{path}: [{section}] {key}: {exc}") from exc
+    return out
+
+
+def synthetic_spec(path) -> SyntheticSpec:
+    """The [synthetic] section of a gen INI."""
+    (spec,) = _read_section(_load_ini(path), path, "synthetic", SyntheticSpec)
+    return SyntheticSpec(**spec)
+
+
+def train_configs(path, seed=None):
+    """(unfitted Featurizer, GnnConfig, TrainConfig) from a train INI's
+    [model] and [training] sections; `seed` overrides [training] seed."""
+    cfg = _load_ini(path)
+    feat_kw, model_kw = _read_section(cfg, path, "model", Featurizer, gnn.GnnConfig,
+                                      extra=("task",))
+    (train_kw,) = _read_section(cfg, path, "training", training.TrainConfig)
+    task = cfg["model"].get("task", "node_level")
+    featurizer = Featurizer(**{"encoding_kind": "airfoil", **feat_kw})
+    node_level = task == "node_level"
+    model_kw = {"latent_size": 64, "steps": 6, "depth": 4, "width": 64,
+                "graph_output_size": 4 if node_level else 1, **model_kw,
+                # accepted, and unused by a graph-level model
+                "node_output_size": model_kw.get("node_output_size", 1) if node_level else None}
+    model_cfg = gnn.GnnConfig(node_input_size=featurizer.node_feature_width,
+                              edge_input_size=featurizer.edge_feature_width, **model_kw)
+    if seed is not None:
+        train_kw["seed"] = seed
+    return featurizer, model_cfg, training.TrainConfig(**train_kw, task=task)
+
+
 def cmd_gen(args) -> int:
-    cfg = _load_ini(args.config)
-    sec = cfg["synthetic"]
-    spec = SyntheticSpec(
-        seed=sec.getint("seed", 0),
-        count=sec.getint("count", 100),
-        min_nodes=sec.getint("min_nodes", 20),
-        max_nodes=sec.getint("max_nodes", 60),
-        family=sec.get("family", "chain"),
-    )
+    spec = synthetic_spec(args.config)
     records = generate_synthetic(spec)
     write_dataset(records, args.out)
     print(f"wrote {len(records)} {spec.family} graphs to {args.out}")
     return 0
-
-
-def _featurizer_from_config(sec) -> Featurizer:
-    kwargs = {
-        "encoding_kind": sec.get("encoding", "airfoil"),
-        "node_target_mode": sec.get("target_mode", "zscore"),
-        "use_speed_squared": sec.getboolean("use_speed_squared", True),
-    }
-    if "cell_type_vocabulary" in sec:
-        kwargs["cell_type_vocabulary"] = tuple(
-            v.strip() for v in sec["cell_type_vocabulary"].split(","))
-    return Featurizer(**kwargs)
-
-
-def _model_config(sec, featurizer: Featurizer, task: str) -> gnn.GnnConfig:
-    node_out = sec.getint("node_output_size", 1) if task == "node_level" else None
-    return gnn.GnnConfig(
-        node_input_size=featurizer.node_feature_width,
-        edge_input_size=featurizer.edge_feature_width,
-        latent_size=sec.getint("latent_size", 64),
-        steps=sec.getint("steps", 6),
-        depth=sec.getint("depth", 4),
-        width=sec.getint("width", 64),
-        graph_output_size=sec.getint("graph_output_size", 4 if task == "node_level" else 1),
-        node_output_size=node_out,
-        node_output_activation=sec.get("node_output_activation", "linear"),
-        graph_output_activation=sec.get("graph_output_activation", "linear"),
-        sine_frequency=sec.getfloat("sine_frequency", 1.0),
-    )
-
-
-def _train_config(sec, task: str, seed_override) -> training.TrainConfig:
-    return training.TrainConfig(
-        epochs=sec.getint("epochs", 2000),
-        batch_size=sec.getint("batch_size", 16),
-        initial_lr=sec.getfloat("initial_lr", 5e-4),
-        l1_coefficient=sec.getfloat("l1_coefficient", 1e-5),
-        plateau_patience=sec.getint("plateau_patience", 50),
-        plateau_factor=sec.getfloat("plateau_factor", 0.5),
-        plateau_min_delta=sec.getfloat("plateau_min_delta", 1e-5),
-        lr_min=sec.getfloat("lr_min", None),
-        seed=seed_override if seed_override is not None else sec.getint("seed", 0),
-        task=task,
-    )
 
 
 def cmd_train(args) -> int:
@@ -89,43 +102,30 @@ def cmd_train(args) -> int:
     for flag, path in (("--out", args.out), ("--log", log_path)):
         if os.path.isdir(path):      # refused now, not after every epoch has trained
             raise IsADirectoryError(f"{flag} {path} is a directory")
-    cfg = _load_ini(args.config)
-    task = cfg["model"].get("task", "node_level")
+    featurizer, model_cfg, train_cfg = train_configs(args.config, args.seed)
     records = read_dataset(args.data)
 
-    resume = None
     if args.resume:
-        model, featurizer, resume = ckpt.load_checkpoint(args.resume)
-        if resume is None:
+        model, featurizer, state = ckpt.load_checkpoint(args.resume)
+        if state is None:
             raise ValueError(f"{args.resume} carries no training-resume state")
     else:
-        featurizer = _featurizer_from_config(cfg["model"]).fit(records)
-        model = gnn.build_model(_model_config(cfg["model"], featurizer, task),
-                                seed=args.seed if args.seed is not None else
-                                cfg["training"].getint("seed", 0))
+        featurizer.fit(records)
+        model = gnn.build_model(model_cfg, seed=train_cfg.seed)
+        state = ckpt.TrainResumeState(adam=training.AdamState.for_parameters(model.parameters()),
+                                      schedule=train_cfg.plateau_schedule(), epoch=0)
 
-    samples = featurizer.transform_all(records)
-    graphs = [s.graph for s in samples]
-    train_cfg = _train_config(cfg["training"], task, args.seed)
-
-    if resume:
-        adam, sched, start = resume.adam, resume.schedule, resume.epoch
-    else:
-        adam = training.AdamState.for_parameters(model.parameters())
-        sched = train_cfg.plateau_schedule()
-        start = 0
-    log = training.fit(model, graphs, train_cfg, adam_state=adam,
-                       schedule=sched, start_epoch=start)
-
-    final_epoch = log.records[-1].epoch + 1
-    resume_out = ckpt.TrainResumeState(adam=adam, schedule=sched, epoch=final_epoch)
-    ckpt.save_checkpoint(model, featurizer, args.out, resume=resume_out)
+    graphs = [s.graph for s in featurizer.transform_all(records)]
+    log = training.fit(model, graphs, train_cfg, adam_state=state.adam,
+                       schedule=state.schedule, start_epoch=state.epoch)
+    state.epoch = log.records[-1].epoch + 1
+    ckpt.save_checkpoint(model, featurizer, args.out, resume=state)
 
     with open(log_path, "w") as fh:
         for rec in log.records:
             fh.write(json.dumps({"epoch": rec.epoch, "loss": rec.mean_loss,
                                  "lr": rec.lr, "wall_time": rec.wall_time}) + "\n")
-    print(f"trained {final_epoch} epochs, final loss {log.records[-1].mean_loss:.6g}; "
+    print(f"trained {state.epoch} epochs, final loss {log.records[-1].mean_loss:.6g}; "
           f"checkpoint at {args.out}")
     return 0
 

@@ -78,7 +78,7 @@ def _record_to_json(rec: GraphRecord) -> dict:
            "positions": rec.positions.tolist()}
     if rec.chain:
         out["chain"] = True
-        out["closed"] = rec.closed
+        out["closed"] = bool(rec.closed)
     else:
         out["cells"] = [list(map(int, c)) for c in rec.cells]
     if rec.node_cell_types is not None:
@@ -102,16 +102,33 @@ def _flags_from_json(flags) -> np.ndarray:
     return np.array(flags, dtype=bool)
 
 
+def _bool_from_json(obj: dict, name: str) -> bool:
+    """`obj[name]`, False if absent: a JSON boolean, as each of `upper_flags`."""
+    flag = obj.get(name, False)
+    if not isinstance(flag, bool):
+        raise ValueError(f"{name} must be a JSON boolean (true/false), got {flag!r}")
+    return flag
+
+
+def _freestream_from_json(values) -> tuple:
+    """JSON booleans refused: Python counts them as numbers, so [true, false]
+    would read as (1, 0). Other values are checked by AirfoilEncoding."""
+    freestream = tuple(values)
+    if any(isinstance(c, bool) for c in freestream):
+        raise ValueError(f"freestream must be numbers, not JSON booleans, got {values!r}")
+    return freestream
+
+
 def _record_from_json(obj: dict) -> GraphRecord:
     return GraphRecord(
         graph_id=str(obj["id"]),
         positions=np.asarray(obj["positions"], dtype=np.float64),
         cells=obj.get("cells"),
-        chain=bool(obj.get("chain", False)),
-        closed=bool(obj.get("closed", False)),
+        chain=_bool_from_json(obj, "chain"),
+        closed=_bool_from_json(obj, "closed"),
         node_cell_types=obj.get("node_cell_types"),
         upper_flags=None if "upper_flags" not in obj else _flags_from_json(obj["upper_flags"]),
-        freestream=None if "freestream" not in obj else tuple(obj["freestream"]),
+        freestream=None if "freestream" not in obj else _freestream_from_json(obj["freestream"]),
         node_target=None if "node_target" not in obj
         else np.asarray(obj["node_target"], dtype=np.float64),
         graph_target=None if "graph_target" not in obj
@@ -321,6 +338,9 @@ class Sample:
 class Featurizer:
     """Owns the encoding choice and the normalizers fitted on the train split."""
 
+    # the fields `fit` sets; the others are settings
+    NORMALIZERS = ("node_norm", "edge_norm", "target_norm")
+
     encoding_kind: str                         # "airfoil" or "feature_design"
     cell_type_vocabulary: tuple = DEFAULT_CELL_TYPES
     node_target_mode: str = "zscore"           # "zscore", "pressure", "none"
@@ -330,6 +350,7 @@ class Featurizer:
     target_norm: Normalizer | None = None
 
     def __post_init__(self):
+        self.cell_type_vocabulary = tuple(self.cell_type_vocabulary)
         if self.encoding_kind not in ("airfoil", "feature_design"):
             raise ValueError(f"unknown encoding {self.encoding_kind!r}")
         if self.node_target_mode not in ("zscore", "pressure", "none"):

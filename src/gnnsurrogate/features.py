@@ -47,8 +47,9 @@ class AirfoilEncoding:
     def __post_init__(self):
         fs = self.freestream
         try:
-            ok = len(fs) == 2 and all(isinstance(c, numbers.Real) and math.isfinite(c)
-                                      for c in fs)
+            # bool is a numbers.Real, so (True, False) would pass as (1, 0)
+            ok = len(fs) == 2 and all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                      and math.isfinite(c) for c in fs)
         except TypeError:
             ok = False
         if not ok:

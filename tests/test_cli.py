@@ -1,10 +1,12 @@
+import configparser
 import json
+import re
 
 import numpy as np
 import pytest
 
 import gnnsurrogate as gs
-from gnnsurrogate import training
+from gnnsurrogate import cli, training
 from gnnsurrogate.cli import cli_main
 from conftest import untimed_log
 
@@ -329,3 +331,215 @@ class TestBadInvocations:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+class TestJsonBooleans:
+    """`chain`, `closed` and `upper_flags` are JSON booleans and `freestream`
+    holds no JSON booleans; any other value exits 2 naming the file, the
+    line and the record."""
+
+    @pytest.mark.parametrize("field, value", [("chain", "no"), ("closed", "false"),
+                                              ("closed", 0), ("freestream", [True, False])])
+    def test_train_exits_2(self, workspace, capsys, monkeypatch, field, value):
+        tmp_path, train_cfg, data = workspace
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[3])   # record 2, after the header
+        rec[field] = value
+        lines[3] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 4 (record {rec['id']}): bad record: {field} must be" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# the INI sections as the CLI read them before they were read through the
+# dataclasses' fields, kept as the reference the reader must agree with
+def _reference_spec(sec):
+    return gs.SyntheticSpec(seed=sec.getint("seed", 0), count=sec.getint("count", 100),
+                            min_nodes=sec.getint("min_nodes", 20),
+                            max_nodes=sec.getint("max_nodes", 60),
+                            family=sec.get("family", "chain"))
+
+
+def _reference_featurizer(sec):
+    kwargs = {"encoding_kind": sec.get("encoding", "airfoil"),
+              "node_target_mode": sec.get("target_mode", "zscore"),
+              "use_speed_squared": sec.getboolean("use_speed_squared", True)}
+    if "cell_type_vocabulary" in sec:
+        kwargs["cell_type_vocabulary"] = tuple(
+            v.strip() for v in sec["cell_type_vocabulary"].split(","))
+    return gs.Featurizer(**kwargs)
+
+
+def _reference_model_config(sec, featurizer, task):
+    node_out = sec.getint("node_output_size", 1) if task == "node_level" else None
+    return gs.GnnConfig(
+        node_input_size=featurizer.node_feature_width,
+        edge_input_size=featurizer.edge_feature_width,
+        latent_size=sec.getint("latent_size", 64), steps=sec.getint("steps", 6),
+        depth=sec.getint("depth", 4), width=sec.getint("width", 64),
+        graph_output_size=sec.getint("graph_output_size", 4 if task == "node_level" else 1),
+        node_output_size=node_out,
+        node_output_activation=sec.get("node_output_activation", "linear"),
+        graph_output_activation=sec.get("graph_output_activation", "linear"),
+        sine_frequency=sec.getfloat("sine_frequency", 1.0))
+
+
+def _reference_train_config(sec, task, seed_override):
+    return gs.TrainConfig(
+        epochs=sec.getint("epochs", 2000), batch_size=sec.getint("batch_size", 16),
+        initial_lr=sec.getfloat("initial_lr", 5e-4),
+        l1_coefficient=sec.getfloat("l1_coefficient", 1e-5),
+        plateau_patience=sec.getint("plateau_patience", 50),
+        plateau_factor=sec.getfloat("plateau_factor", 0.5),
+        plateau_min_delta=sec.getfloat("plateau_min_delta", 1e-5),
+        lr_min=sec.getfloat("lr_min", None),
+        seed=seed_override if seed_override is not None else sec.getint("seed", 0),
+        task=task)
+
+
+EVERY_KEY_INI = """\
+[synthetic]
+seed = 3
+count = 7
+min_nodes = 6
+max_nodes = 11
+family = patch3d
+
+[model]
+encoding = feature_design
+task = node_level
+latent_size = 5
+steps = 3
+depth = 2
+width = 7
+graph_output_size = 2
+node_output_size = 2
+target_mode = none
+use_speed_squared = no
+cell_type_vocabulary = tet , hex,wedge
+node_output_activation = relu
+graph_output_activation = sine
+sine_frequency = 0.5
+
+[training]
+epochs = 9
+batch_size = 3
+initial_lr = 1e-3
+l1_coefficient = 0
+plateau_patience = 4
+plateau_factor = 0.25
+plateau_min_delta = 1e-3
+lr_min = 1e-5
+seed = 12
+"""
+
+EQUIVALENCE_INIS = {
+    "no_optional_key": "[synthetic]\n[model]\n[training]\n",
+    "graph_level_no_optional_key": "[synthetic]\n[model]\ntask = graph_level\n[training]\n",
+    "every_key": EVERY_KEY_INI,
+    "train_ini": GEN_INI + TRAIN_INI,
+    "train_ini_graph_level": GEN_INI + TRAIN_INI.replace(
+        "task = node_level", "task = graph_level").replace(
+        "graph_output_size = 3", "graph_output_size = 1"),
+}
+
+FEATURIZER_SETTINGS = ("encoding_kind", "cell_type_vocabulary", "node_target_mode",
+                       "use_speed_squared")
+
+
+class TestIniReader:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INIS))
+    def test_agrees_with_reference_mappers(self, tmp_path, name, seed):
+        path = tmp_path / "cfg.ini"
+        path.write_text(EQUIVALENCE_INIS[name])
+        ini = configparser.ConfigParser()
+        ini.read(path)
+        task = ini["model"].get("task", "node_level")
+        ref_feat = _reference_featurizer(ini["model"])
+        ref_train = _reference_train_config(ini["training"], task, seed)
+
+        featurizer, model_cfg, train_cfg = cli.train_configs(path, seed)
+        assert cli.synthetic_spec(path) == _reference_spec(ini["synthetic"])
+        assert ({f: getattr(featurizer, f) for f in FEATURIZER_SETTINGS}
+                == {f: getattr(ref_feat, f) for f in FEATURIZER_SETTINGS})
+        assert model_cfg == _reference_model_config(ini["model"], ref_feat, task)
+        assert train_cfg == ref_train
+        # the seed the model is built with
+        assert train_cfg.seed == (seed if seed is not None
+                                  else ini["training"].getint("seed", 0))
+
+    ACCEPTED = {
+        "synthetic": {"seed", "count", "min_nodes", "max_nodes", "family"},
+        "model": {"encoding", "task", "latent_size", "steps", "depth", "width",
+                  "graph_output_size", "node_output_size", "target_mode",
+                  "use_speed_squared", "cell_type_vocabulary", "node_output_activation",
+                  "graph_output_activation", "sine_frequency"},
+        "training": {"epochs", "batch_size", "initial_lr", "l1_coefficient",
+                     "plateau_patience", "plateau_factor", "plateau_min_delta", "lr_min",
+                     "seed"},
+    }
+
+    @pytest.mark.parametrize("section", sorted(ACCEPTED))
+    def test_accepted_key_set(self, tmp_path, section):
+        path = tmp_path / "cfg.ini"
+        path.write_text(EVERY_KEY_INI.replace(f"[{section}]\n", f"[{section}]\nbogus = 1\n"))
+        read = cli.synthetic_spec if section == "synthetic" else cli.train_configs
+        with pytest.raises(cli.ConfigFileError) as info:
+            read(path)
+        listed = re.search(r"\(accepted: (.*)\)$", str(info.value)).group(1)
+        assert set(listed.split(", ")) == self.ACCEPTED[section]
+        # so the equivalence test reads every accepted key
+        ini = configparser.ConfigParser()
+        ini.read_string(EVERY_KEY_INI)
+        assert set(ini[section]) == self.ACCEPTED[section]
+
+
+class TestBadIni:
+    """An INI section or key the program cannot use exits 2 with one
+    `error:` line naming the file, the section and the key, before anything
+    is written or trained."""
+
+    # (command, INI text, the section and key the error names)
+    CASES = {
+        "synthetic_misspelt_key": ("gen", GEN_INI.replace("count", "cuont"),
+                                   "[synthetic] cuont: unknown key"),
+        "model_misspelt_key": ("train", TRAIN_INI.replace("encoding", "encodng"),
+                               "[model] encodng: unknown key"),
+        "training_misspelt_key": ("train", TRAIN_INI.replace("epochs", "epoch"),
+                                  "[training] epoch: unknown key"),
+        "unconvertible_int": ("train", TRAIN_INI.replace("latent_size = 4", "latent_size = big"),
+                              "[model] latent_size: invalid literal for int()"),
+        "unconvertible_float": ("train", TRAIN_INI.replace("5e-4", "fast"),
+                                "[training] initial_lr: could not convert"),
+        "unconvertible_bool": ("train", TRAIN_INI.replace(
+            "target_mode = zscore", "target_mode = zscore\nuse_speed_squared = maybe"),
+            "[model] use_speed_squared: Not a boolean"),
+        "missing_model_section": ("train", GEN_INI, "no [model] section"),
+        "missing_training_section": ("train", TRAIN_INI.split("[training]")[0],
+                                     "no [training] section"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_file_section_and_key(self, workspace, capsys, monkeypatch, case):
+        tmp_path, _, data = workspace
+        command, text, names = self.CASES[case]
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        argv = {"gen": ["gen", "--config", str(cfg), "--out", str(out)],
+                "train": ["train", "--config", str(cfg), "--data", str(data),
+                          "--out", str(out)]}[command]
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {names}"), err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "out.log").exists()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gnnsurrogate as gs
+from gnnsurrogate import checkpoint
 from gnnsurrogate import model as gnn
 from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
                                      load_checkpoint, save_checkpoint)
@@ -198,6 +199,22 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError,
                            match="^" + re.escape(where) + ".*list of JSON booleans"):
             gs.read_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("chain", "no"), ("chain", 1), ("chain", None), ("closed", "false"),
+        ("closed", 0), ("freestream", [True, False]), ("freestream", [0.5, True])])
+    def test_json_booleans_only_where_meant(self, tmp_path, field, value):
+        recs = self.records()
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, field, lambda _: value)
+        where = f"{path}: line 3 (record {recs[1].graph_id}): bad record: {field} must be"
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(where)):
+            gs.read_dataset(path)
+
+    def test_boolean_freestream_rejected_naming_record(self):
+        rec = record_from_selig(SELIG_SAMPLE, freestream=(True, False), graph_id="bool-fs")
+        with pytest.raises(DatasetFormatError, match="^record bool-fs: freestream must be"):
+            gs.Featurizer("airfoil").fit([rec])
 
     def test_bad_chain_rejected_naming_record(self):
         rec = self.records()[0]
@@ -440,6 +457,35 @@ class TestCheckpoint:
         assert again.read_bytes() == path.read_bytes()
         assert all(np.shares_memory(p, m2.flat) for p in m2.parameters())
         assert resume2.adam.m.shape == resume2.adam.v.shape == m2.flat.shape
+
+    def test_featurizer_settings_round_trip(self, tmp_path):
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=2, count=3, min_nodes=5,
+                                                      max_nodes=8))
+        feat = gs.Featurizer("airfoil", cell_type_vocabulary=["tet", "hex"],
+                             node_target_mode="pressure", use_speed_squared=False).fit(recs)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(gnn.build_model(tiny_config(), 0), feat, path)
+        _, back, _ = load_checkpoint(path)
+        assert back.cell_type_vocabulary == ("tet", "hex")
+        assert (back.encoding_kind, back.node_target_mode, back.use_speed_squared) == (
+            "airfoil", "pressure", False)
+        assert back.target_norm is None
+        np.testing.assert_array_equal(back.edge_norm.scale, feat.edge_norm.scale)
+
+    def test_meta_entries_in_field_order(self, tmp_path):
+        """Normalizers, featurizer settings and resume scalars are written in
+        their dataclasses' field order, the byte layout of format version 1."""
+        _, feat, path = self.resumable(tmp_path)
+        sections = checkpoint._read_sections(path.read_bytes(), len(checkpoint.MAGIC) + 4)
+        norms = checkpoint._unpack_arrays(sections["normalizers"], "normalizers")
+        for got, norm in zip(norms[::2], (feat.node_norm, feat.edge_norm, feat.target_norm)):
+            np.testing.assert_array_equal(got, norm.shift)
+        assert list(json.loads(sections["meta"])["featurizer"]) == [
+            "encoding_kind", "cell_type_vocabulary", "node_target_mode",
+            "use_speed_squared", "has_target_norm"]
+        assert list(json.loads(sections["resume_meta"])) == [
+            "t", "beta1", "beta2", "eps", "lr", "factor", "patience", "min_delta",
+            "lr_min", "best", "bad_epochs", "epoch"]
 
     def test_every_truncation_raises_checkpoint_error(self, tmp_path):
         _, _, path = self.resumable(tmp_path)

@@ -155,6 +155,11 @@ class TestAirfoilEncoding:
         assert (out[:, 4] == 0.3).all() and (out[:, 5] == 0.9).all()
         assert out.shape[1] == 6
 
+    @pytest.mark.parametrize("freestream", [(True, False), (0.5, True)])
+    def test_boolean_freestream_rejected(self, freestream):
+        with pytest.raises(ValueError, match="two finite numbers"):
+            gs.AirfoilEncoding(freestream=freestream)
+
     def test_flag_count_mismatch(self):
         g = gs.build_surface_chain(np.random.rand(4, 2))
         with pytest.raises(ValueError):
