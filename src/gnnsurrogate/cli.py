@@ -76,6 +76,9 @@ def train_configs(path, seed=None):
                                       extra=("task",))
     (train_kw,) = _read_section(cfg, path, "training", training.TrainConfig)
     task = cfg["model"].get("task", "node_level")
+    if task not in training.TASKS:
+        raise ConfigFileError(f"{path}: [model] task: {task!r} is not one of "
+                              f"{', '.join(training.TASKS)}")
     featurizer = Featurizer(**{"encoding_kind": "airfoil", **feat_kw})
     node_level = task == "node_level"
     model_kw = {"latent_size": 64, "steps": 6, "depth": 4, "width": 64,

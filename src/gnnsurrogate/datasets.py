@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -119,10 +120,25 @@ def _freestream_from_json(values) -> tuple:
     return freestream
 
 
+def _floats_from_json(values, name: str) -> np.ndarray:
+    """A float64 array of JSON numbers. numpy would read JSON booleans as 1.0
+    and 0.0 (and numeric strings as numbers), so the scalars' types are
+    checked first, all at once."""
+    array = np.asarray(values, dtype=np.float64)
+    scalars = [values]
+    for _ in range(array.ndim):
+        scalars = chain.from_iterable(scalars)
+    types = set(map(type, scalars))
+    if not types <= {int, float}:
+        raise ValueError(f"{name} must hold JSON numbers only, got "
+                         f"{', '.join(sorted(t.__name__ for t in types - {int, float}))}")
+    return array
+
+
 def _record_from_json(obj: dict) -> GraphRecord:
     return GraphRecord(
         graph_id=str(obj["id"]),
-        positions=np.asarray(obj["positions"], dtype=np.float64),
+        positions=_floats_from_json(obj["positions"], "positions"),
         cells=obj.get("cells"),
         chain=_bool_from_json(obj, "chain"),
         closed=_bool_from_json(obj, "closed"),
@@ -130,9 +146,9 @@ def _record_from_json(obj: dict) -> GraphRecord:
         upper_flags=None if "upper_flags" not in obj else _flags_from_json(obj["upper_flags"]),
         freestream=None if "freestream" not in obj else _freestream_from_json(obj["freestream"]),
         node_target=None if "node_target" not in obj
-        else np.asarray(obj["node_target"], dtype=np.float64),
+        else _floats_from_json(obj["node_target"], "node_target"),
         graph_target=None if "graph_target" not in obj
-        else np.asarray(obj["graph_target"], dtype=np.float64),
+        else _floats_from_json(obj["graph_target"], "graph_target"),
     )
 
 

@@ -58,14 +58,25 @@ class EvalReport:
         return rows
 
 
+def _check_target(sample, name: str):
+    if getattr(sample, name) is None:
+        raise UndefinedMetricError(
+            f"graph {sample.graph_id}: no {name.removesuffix('_physical')} to compare with")
+
+
 def evaluate_node_level(mdl, samples, split: str = "test") -> EvalReport:
     """One error value per graph over all its node-wise predictions, compared
     on the physical scale; summarized as median (min., max.)."""
     report = EvalReport(split=split)
     for sample in samples:
+        _check_target(sample, "node_target_physical")
         pred_norm, _ = gnn.predict(mdl, sample.graph)
         pred_phys = sample.to_physical_node(pred_norm)
-        report.per_graph.append(relative_l2(sample.node_target_physical, pred_phys))
+        try:
+            eps = relative_l2(sample.node_target_physical, pred_phys)
+        except ValueError as exc:
+            raise type(exc)(f"graph {sample.graph_id}: {exc}") from exc
+        report.per_graph.append(eps)
         report.graph_ids.append(sample.graph_id)
         report.node_counts.append(sample.graph.num_nodes)
     return report
@@ -76,6 +87,7 @@ def evaluate_graph_level(mdl, samples, split: str = "test") -> EvalReport:
     preds, targets = [], []
     report = EvalReport(split=split)
     for sample in samples:
+        _check_target(sample, "graph_target_physical")
         _, y_graph = gnn.predict(mdl, sample.graph)
         preds.append(y_graph[0])
         targets.append(sample.graph_target_physical)

@@ -55,11 +55,6 @@ def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
     return Mlp(config=config, weights=weights, biases=biases)
 
 
-def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    y, _ = forward_tape(mlp, x)
-    return y
-
-
 def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
     """Row-batched forward pass; returns (output, tape for one backward).
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -9,6 +11,9 @@ import numpy as np
 
 from .graph import Graph, merge_batch
 from . import model as gnn
+
+
+TASKS = ("node_level", "graph_level")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -142,7 +147,7 @@ class TrainConfig:
             raise ValueError("bad learning-rate configuration")
         if self.l1_coefficient < 0:
             raise ValueError("l1_coefficient must be >= 0")
-        if self.task not in ("node_level", "graph_level"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.lr_min is not None and not (0.0 <= self.lr_min <= self.initial_lr):
             raise ValueError(f"lr_min {self.lr_min} outside [0, initial_lr]")
@@ -207,13 +212,53 @@ def _non_finite_block(mdl, grad) -> str:
     return "every parameter and gradient entry is finite"
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# A mesh batch's tape holds ~400 MB in ~10 MB arrays. At glibc's defaults
+# each array above the (at most 32 MiB, dynamic) mmap threshold is mapped on
+# allocation and unmapped when backward frees it, and free heap above the
+# 128 KiB trim threshold goes back to the kernel, so every step faults its
+# whole tape in again. With arrays up to 64 MiB taken from the heap and the
+# heap trimmed only above 512 MiB of free space, a step reuses the memory
+# the previous one freed.
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 512 << 20))
+
+
+@functools.cache
+def _keep_step_memory_in_heap() -> bool:
+    """Set glibc's mmap and trim thresholds to `_HEAP_POLICY` once; True if
+    the C library took both. Where it has no `mallopt` (macOS, Windows) this
+    does nothing and returns False.
+
+    The policy covers the whole process and lasts after `fit` returns: freed
+    memory stays with the process for reuse (up to 512 MiB of it) rather than
+    going back to the kernel. Peak RSS, set by the largest step, does not
+    change. It replaces any mmap or trim threshold already set for the
+    process, through the environment (`MALLOC_MMAP_THRESHOLD_`,
+    `MALLOC_TRIM_THRESHOLD_`, `GLIBC_TUNABLES`) or by earlier `mallopt`
+    calls. The result is cached because the policy is the process's own."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # a list, not a generator: the trim threshold is set even if the C
+    # library refuses the mmap threshold
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_POLICY])
+
+
 def fit(mdl, graphs: list[Graph], config: TrainConfig,
         adam_state: AdamState | None = None,
         schedule: PlateauSchedule | None = None,
         start_epoch: int = 0) -> TrainLog:
-    """Train in place. adam_state/schedule/start_epoch allow resumption."""
+    """Train in place. adam_state/schedule/start_epoch allow resumption.
+
+    On entry, sets the process's glibc malloc policy once
+    (`_keep_step_memory_in_heap`), so that each step's tape comes from the
+    heap and goes back to it; the policy stays after `fit` returns."""
     if not graphs:
         raise ValueError("empty training set")
+    _keep_step_memory_in_heap()
     if adam_state is None:
         adam_state = AdamState.for_parameters(mdl.parameters())
     if schedule is None:

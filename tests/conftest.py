@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gnnsurrogate as gs
+from gnnsurrogate.mlp import forward_tape
 from gnnsurrogate.model import GnnConfig, build_model
 
 
@@ -34,6 +35,12 @@ def tiny_config(node_in=6, edge_in=3, latent=4, steps=2, depth=2, width=5,
     return GnnConfig(node_input_size=node_in, edge_input_size=edge_in,
                      latent_size=latent, steps=steps, depth=depth, width=width,
                      graph_output_size=graph_out, node_output_size=node_out, **kw)
+
+
+def mlp_forward(mlp, x):
+    """An MLP's output for rows `x`, without keeping its tape."""
+    y, _ = forward_tape(mlp, x)
+    return y
 
 
 def zero_final_layer(mlp):

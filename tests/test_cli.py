@@ -279,6 +279,21 @@ class TestBadRecords:
         err = capsys.readouterr().err
         assert recs[0].graph_id in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("target, message", [
+        (None, "no node_target to compare with"),
+        (0.0, "zero-norm target makes the relative error undefined")])
+    def test_eval_error_names_the_graph(self, workspace, capsys, target, message):
+        tmp_path, train_cfg, data = workspace
+        out = train(tmp_path, train_cfg, data)
+        recs = gs.read_dataset(data)
+        bad = recs[2]
+        bad.node_target = None if target is None else np.full_like(bad.node_target, target)
+        bad_data = tmp_path / "bad.jsonl"
+        gs.write_dataset(recs, bad_data)
+        capsys.readouterr()
+        assert cli_main(["eval", "--ckpt", str(out), "--data", str(bad_data)]) == 2
+        assert capsys.readouterr().err == f"error: graph {bad.graph_id}: {message}\n"
+
     def test_string_upper_flags_exit_2(self, workspace, capsys):
         tmp_path, train_cfg, data = workspace
         lines = data.read_text().splitlines()
@@ -355,6 +370,27 @@ class TestJsonBooleans:
         err = capsys.readouterr().err
         assert f"{bad}: line 4 (record {rec['id']}): bad record: {field} must be" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("field, edit", [
+        ("positions", lambda rec: rec["positions"][1].__setitem__(0, True)),
+        ("node_target", lambda rec: rec["node_target"].__setitem__(0, False)),
+        ("graph_target", lambda rec: rec.__setitem__("graph_target", [True]))])
+    def test_numbers_refuse_json_booleans(self, workspace, capsys, monkeypatch, field, edit):
+        tmp_path, train_cfg, data = workspace
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[3])   # record 2, after the header
+        edit(rec)
+        lines[3] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: line 4 (record {rec['id']}): bad record: "
+                       f"{field} must hold JSON numbers only, got bool\n")
 
 
 # the INI sections as the CLI read them before they were read through the
@@ -521,6 +557,8 @@ class TestBadIni:
         "unconvertible_bool": ("train", TRAIN_INI.replace(
             "target_mode = zscore", "target_mode = zscore\nuse_speed_squared = maybe"),
             "[model] use_speed_squared: Not a boolean"),
+        "unknown_task": ("train", TRAIN_INI.replace("task = node_level", "task = graphlevel"),
+                         "[model] task: 'graphlevel' is not one of node_level, graph_level"),
         "missing_model_section": ("train", GEN_INI, "no [model] section"),
         "missing_training_section": ("train", TRAIN_INI.split("[training]")[0],
                                      "no [training] section"),

@@ -211,6 +211,30 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError, match="^" + re.escape(where)):
             gs.read_dataset(path)
 
+    @pytest.mark.parametrize("field, edit, got", [
+        ("positions", lambda old: [[True, False]] * len(old), "bool"),
+        ("positions", lambda old: [[0.5, True], *old[1:]], "bool"),
+        ("positions", lambda old: [["0.5", "0.1"], *old[1:]], "str"),
+        ("node_target", lambda old: [False, *old[1:]], "bool"),
+        ("graph_target", lambda old: [True], "bool"),
+        ("graph_target", lambda old: True, "bool")])
+    def test_numeric_fields_refuse_json_booleans(self, tmp_path, field, edit, got):
+        recs = self.records()
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, field, edit)
+        where = (f"{path}: line 3 (record {recs[1].graph_id}): bad record: "
+                 f"{field} must hold JSON numbers only, got {got}")
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(where) + "$"):
+            gs.read_dataset(path)
+
+    def test_numeric_fields_keep_integers_and_floats(self, tmp_path):
+        recs = self.records()
+        path = tmp_path / "d.jsonl"
+        self.write_with_bad_record(path, recs, "graph_target", lambda old: [3])
+        back = gs.read_dataset(path)
+        assert back[1].graph_target.dtype == np.float64 and back[1].graph_target.tolist() == [3.0]
+        np.testing.assert_array_equal(back[2].positions, recs[2].positions)
+
     def test_boolean_freestream_rejected_naming_record(self):
         rec = record_from_selig(SELIG_SAMPLE, freestream=(True, False), graph_id="bool-fs")
         with pytest.raises(DatasetFormatError, match="^record bool-fs: freestream must be"):

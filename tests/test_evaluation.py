@@ -75,6 +75,39 @@ class TestNodeLevelEvaluation:
         assert a == b
 
 
+class TestErrorsNameTheGraph:
+    def test_node_level_sample_without_node_target(self):
+        feat, samples = featurized_samples(27, 3, min_nodes=4, max_nodes=6)
+        samples[1].node_target_physical = None
+        m = gnn.build_model(tiny_config(), 0)
+        with pytest.raises(UndefinedMetricError,
+                           match=f"^graph {samples[1].graph_id}: no node_target to compare with$"):
+            gs.evaluate_node_level(m, samples)
+
+    def test_node_level_zero_norm_target(self):
+        feat, samples = featurized_samples(28, 3, min_nodes=4, max_nodes=6)
+        samples[2].node_target_physical = np.zeros_like(samples[2].node_target_physical)
+        m = gnn.build_model(tiny_config(), 0)
+        with pytest.raises(UndefinedMetricError,
+                           match=f"^graph {samples[2].graph_id}: zero-norm target"):
+            gs.evaluate_node_level(m, samples)
+
+    def test_node_level_length_mismatch(self):
+        feat, samples = featurized_samples(29, 2, min_nodes=4, max_nodes=6)
+        samples[0].node_target_physical = samples[0].node_target_physical[:-1]
+        m = gnn.build_model(tiny_config(), 0)
+        with pytest.raises(ValueError, match=f"^graph {samples[0].graph_id}: length mismatch"):
+            gs.evaluate_node_level(m, samples)
+
+    def test_graph_level_sample_without_graph_target(self):
+        feat, samples = featurized_samples(30, 3, min_nodes=4, max_nodes=6)
+        samples[0].graph_target_physical = None
+        m = gnn.build_model(tiny_config(node_out=None, graph_out=1), 0)
+        with pytest.raises(UndefinedMetricError,
+                           match=f"^graph {samples[0].graph_id}: no graph_target to compare with$"):
+            gs.evaluate_graph_level(m, samples)
+
+
 class TestGraphLevelEvaluation:
     def make_model(self, seed=0):
         return gnn.build_model(tiny_config(node_out=None, graph_out=1), seed)

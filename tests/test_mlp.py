@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnnsurrogate.mlp import Mlp, MlpConfig, backward, forward, forward_tape, he_init
+from gnnsurrogate.mlp import Mlp, MlpConfig, backward, forward_tape, he_init
+from conftest import mlp_forward
 
 
 def fd_gradient(f, arr, idx, step=1e-6):
@@ -47,7 +48,7 @@ class TestForward:
         mlp = he_init(MlpConfig(input_size=4, depth=1, width=5, output_size=2), 0)
         for w in mlp.weights:
             w[:] = 0.0
-        np.testing.assert_array_equal(forward(mlp, np.random.rand(3, 4)), np.zeros((3, 2)))
+        np.testing.assert_array_equal(mlp_forward(mlp, np.random.rand(3, 4)), np.zeros((3, 2)))
 
     def test_single_linear_map(self):
         cfg = MlpConfig(input_size=1, depth=1, width=1, output_size=1)
@@ -55,7 +56,7 @@ class TestForward:
                   weights=[np.array([[np.pi / 2]]), np.array([[2.0]])],
                   biases=[np.array([0.0]), np.array([1.0])])
         # hidden: sin(pi/2 * 3)... use x chosen so sin gives 1 -> out = 2*1 + 1
-        np.testing.assert_allclose(forward(mlp, np.array([[1.0]])), [[3.0]])
+        np.testing.assert_allclose(mlp_forward(mlp, np.array([[1.0]])), [[3.0]])
 
     def test_relu_head_clamps(self):
         cfg = MlpConfig(input_size=1, depth=1, width=1, output_size=1,
@@ -63,7 +64,7 @@ class TestForward:
         mlp = Mlp(config=cfg,
                   weights=[np.array([[0.0]]), np.array([[0.0]])],
                   biases=[np.array([0.0]), np.array([-0.5])])
-        np.testing.assert_array_equal(forward(mlp, np.array([[7.0]])), [[0.0]])
+        np.testing.assert_array_equal(mlp_forward(mlp, np.array([[7.0]])), [[0.0]])
 
     def test_hidden_activations_bounded(self):
         mlp = he_init(MlpConfig(input_size=3, depth=3, width=6, output_size=1), 9)
@@ -74,12 +75,12 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         mlp = he_init(MlpConfig(input_size=3, depth=1, width=4, output_size=1), 0)
         with pytest.raises(ValueError):
-            forward(mlp, np.zeros((2, 5)))
+            mlp_forward(mlp, np.zeros((2, 5)))
 
     def test_determinism(self):
         mlp = he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2), 1)
         x = np.random.default_rng(2).normal(size=(5, 3))
-        np.testing.assert_array_equal(forward(mlp, x), forward(mlp, x))
+        np.testing.assert_array_equal(mlp_forward(mlp, x), mlp_forward(mlp, x))
 
 
 class TestBackward:
@@ -109,7 +110,7 @@ class TestBackward:
         g_out = rng.normal(size=(4, 2))
 
         def scalar():
-            return float((forward(mlp, x) * g_out).sum())
+            return float((mlp_forward(mlp, x) * g_out).sum())
 
         _, tape = forward_tape(mlp, x)
         gx, grads = backward(mlp, tape, g_out)

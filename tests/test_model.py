@@ -6,7 +6,7 @@ import gnnsurrogate as gs
 from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.graph import merge_batch
-from conftest import tiny_config, zero_final_layer
+from conftest import mlp_forward, tiny_config, zero_final_layer
 
 
 def make_featurized(rng, n=5, node_in=6, edge_in=3, with_chain=True):
@@ -83,7 +83,7 @@ class TestMessagePassingStep:
         e = rng.normal(size=(2, 4))
         v2, _ = gnn.message_passing_step(m, 0, g, (v, e))
         # node 2's update must equal rho^V([v_2 | zeros])
-        expect = v[2] + nn.forward(m.processor_node[0],
+        expect = v[2] + mlp_forward(m.processor_node[0],
                                    np.hstack([v[2], np.zeros(4)])[None, :])[0]
         np.testing.assert_allclose(v2[2], expect, atol=1e-14)
 
@@ -99,7 +99,7 @@ class TestMessagePassingStep:
         ue = np.zeros_like(e)
         for row, (s, r) in enumerate(g.edges):
             inp = np.concatenate([e[row], v[s], v[r]])[None, :]
-            ue[row] = nn.forward(m.processor_edge[0], inp)[0]
+            ue[row] = mlp_forward(m.processor_edge[0], inp)[0]
         uv = np.zeros_like(v)
         for i in range(g.num_nodes):
             agg = np.zeros(nl)
@@ -107,7 +107,7 @@ class TestMessagePassingStep:
                 if r == i:
                     agg += ue[row]
             inp = np.concatenate([v[i], agg])[None, :]
-            uv[i] = nn.forward(m.processor_node[0], inp)[0]
+            uv[i] = mlp_forward(m.processor_node[0], inp)[0]
         np.testing.assert_allclose(e_fast, e + ue, atol=1e-12)
         np.testing.assert_allclose(v_fast, v + uv, atol=1e-12)
 
@@ -125,7 +125,7 @@ class TestDecoders:
         row = rng.normal(size=4)
         latents = np.tile(row, (7, 1))
         out = gnn.decode_graph(m, latents, [(0, 7)])
-        expect = nn.forward(m.decoder_graph, row[None, :])
+        expect = mlp_forward(m.decoder_graph, row[None, :])
         np.testing.assert_allclose(out, expect, atol=1e-14)
 
     def test_duplicating_nodes_leaves_mean_unchanged(self, rng):

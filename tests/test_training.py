@@ -1,4 +1,11 @@
 import copy
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,3 +301,150 @@ class TestFlatOptimizerMatchesPerArrayLoop:
         assert flat_model.flat.tobytes() == ref.flat.tobytes()
         assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state.m]).tobytes()
         assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state.v]).tobytes()
+
+
+GLIBC = platform.system() == "Linux" and platform.libc_ver()[0] == "glibc"
+SRC = str(Path(gs.__file__).resolve().parents[1])
+
+
+def run_python(script: str, *args) -> str:
+    """Run `script` in a fresh interpreter that imports this package; its stdout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+class FakeMallopt:
+    """A C library's `mallopt` that records its calls and returns `result`."""
+
+    def __init__(self, result):
+        self.calls = []
+        self.result = result
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    """Lets `_keep_step_memory_in_heap` run again, as in a new process."""
+    tr._keep_step_memory_in_heap.cache_clear()
+    yield
+    tr._keep_step_memory_in_heap.cache_clear()
+
+
+def small_fit(epochs=3):
+    feat, samples = featurized_samples(5, 4, min_nodes=5, max_nodes=8)
+    m = gnn.build_model(tiny_config(latent=8, width=8), 0)
+    log = tr.fit(m, [s.graph for s in samples],
+                 gs.TrainConfig(epochs=epochs, batch_size=2, seed=1))
+    return log.losses(), m.flat.copy()
+
+
+@pytest.mark.usefixtures("fresh_heap_policy")
+class TestHeapPolicy:
+    @pytest.mark.skipif(not GLIBC, reason="glibc malloc policy")
+    def test_fit_applies_the_policy_and_reports_it(self):
+        small_fit(1)
+        assert tr._keep_step_memory_in_heap.cache_info().misses == 1   # called by fit
+        assert tr._keep_step_memory_in_heap() is True
+
+    def test_set_once_with_the_stated_parameters(self, monkeypatch):
+        mallopt = FakeMallopt(1)
+        monkeypatch.setattr(tr.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        small_fit(1)
+        small_fit(1)
+        assert mallopt.calls == [(-3, 64 << 20), (-1, 512 << 20)]
+        assert tr._keep_step_memory_in_heap() is True
+
+    @pytest.mark.parametrize("libc", ["raises", "no_mallopt", "refuses"])
+    def test_trains_where_the_policy_cannot_be_set(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "raises":
+                raise OSError("no C library")
+            return object() if libc == "no_mallopt" else SimpleNamespace(mallopt=FakeMallopt(0))
+
+        monkeypatch.setattr(tr.ctypes, "CDLL", cdll)
+        losses, flat = small_fit()
+        assert len(losses) == 3 and np.isfinite(losses).all()
+        assert np.isfinite(flat).all()
+        assert tr._keep_step_memory_in_heap() is False
+
+    @pytest.mark.skipif(not (GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                        reason="glibc >= 2.33 reports mmapped blocks through mallinfo2")
+    def test_a_large_array_comes_from_the_heap_after_fit(self):
+        # 40 MiB: above glibc's largest dynamic mmap threshold (32 MiB), below
+        # the policy's 64 MiB; prints whether it was mmapped before and after fit
+        script = """
+import ctypes
+import numpy as np
+import gnnsurrogate as gs
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+
+def mapped():
+    before = libc.mallinfo2().hblks
+    block = np.empty(5 << 20)
+    return libc.mallinfo2().hblks - before
+
+print(mapped())
+recs = gs.generate_synthetic(gs.SyntheticSpec(seed=1, count=2, min_nodes=5, max_nodes=6))
+feat = gs.Featurizer("airfoil").fit(recs)
+cfg = gs.GnnConfig(node_input_size=feat.node_feature_width,
+                   edge_input_size=feat.edge_feature_width, latent_size=4, steps=1,
+                   depth=1, width=4, graph_output_size=1, node_output_size=1)
+gs.fit(gs.build_model(cfg, 0), [s.graph for s in feat.transform_all(recs)],
+       gs.TrainConfig(epochs=1, batch_size=2))
+print(mapped())
+"""
+        assert run_python(script).split() == ["1", "0"]
+
+
+# Trains 2 epochs of a small graph-level mesh config, with the heap policy
+# or with the helper replaced by a no-op, and writes the losses, parameters,
+# Adam moments and the resumable checkpoint. The batch's edge arrays (~6k
+# rows of 8) exceed glibc's default 128 KiB mmap threshold.
+MESH_TRAIN_SCRIPT = """
+import sys
+import numpy as np
+from gnnsurrogate import checkpoint, datasets, training
+from gnnsurrogate import model as gnn
+
+policy, out = sys.argv[1], sys.argv[2]
+if policy == "off":
+    training._keep_step_memory_in_heap = lambda: False
+recs = datasets.generate_synthetic(datasets.SyntheticSpec(
+    seed=4, count=8, min_nodes=120, max_nodes=160, family="patch3d"))
+feat = datasets.Featurizer("feature_design").fit(recs)
+graphs = [s.graph for s in feat.transform_all(recs)]
+mdl = gnn.build_model(gnn.GnnConfig(
+    node_input_size=feat.node_feature_width, edge_input_size=feat.edge_feature_width,
+    latent_size=8, steps=2, depth=2, width=8, graph_output_size=1,
+    node_output_size=None, sine_frequency=0.5), 0)
+cfg = training.TrainConfig(epochs=2, batch_size=8, seed=0, task="graph_level")
+adam = training.AdamState.for_parameters(mdl.parameters())
+schedule = cfg.plateau_schedule()
+log = training.fit(mdl, graphs, cfg, adam_state=adam, schedule=schedule)
+checkpoint.save_checkpoint(mdl, feat, out + ".ckpt",
+                           checkpoint.TrainResumeState(adam=adam, schedule=schedule, epoch=2))
+np.savez(out + ".npz", losses=log.losses(), flat=mdl.flat, m=adam.m, v=adam.v)
+print(training._keep_step_memory_in_heap())
+"""
+
+
+def test_heap_policy_leaves_training_bits_unchanged(tmp_path):
+    printed = {policy: run_python(MESH_TRAIN_SCRIPT, policy, tmp_path / policy).strip()
+               for policy in ("on", "off")}
+    assert printed == {"on": str(GLIBC), "off": "False"}
+    on, off = (np.load(tmp_path / f"{policy}.npz") for policy in ("on", "off"))
+    for name in ("losses", "flat", "m", "v"):
+        assert on[name].tobytes() == off[name].tobytes(), name
+    assert (tmp_path / "on.ckpt").read_bytes() == (tmp_path / "off.ckpt").read_bytes()
