@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,32 @@ def _entries(entries: dict, kind, skip=()) -> dict:
     return {f.name: entries[f.name] for f in dataclasses.fields(kind) if f.name not in skip}
 
 
+# the fields held in 'resume_meta': AdamState's scalars, PlateauSchedule's and
+# TrainResumeState's epoch
+_RESUME_SCALARS = [f for kind in (AdamState, PlateauSchedule, TrainResumeState)
+                   for f in dataclasses.fields(kind)
+                   if f.name not in (*_MOMENTS, "adam", "schedule")]
+
+
+def _check_resume_scalar(f: dataclasses.Field, value):
+    """An `int` field takes a non-negative JSON integer and a `float` field a
+    JSON number within float64's finite range, or Infinity for `best` (the
+    schedule's best loss, which starts there). JSON booleans are refused:
+    Python counts them as integers."""
+    if f.type == "int":
+        ok, expected = type(value) is int and value >= 0, "a non-negative integer"
+    else:
+        # compared rather than passed to math.isfinite, which cannot take
+        # an integer beyond float64's range
+        largest = sys.float_info.max
+        ok = type(value) in (int, float) and (-largest <= value <= largest
+                                              or f.name == "best" and value == math.inf)
+        expected = "a finite number" + (" or Infinity" if f.name == "best" else "")
+    if not ok:
+        raise CheckpointError(f"section 'resume_meta': entry {f.name!r} is {value!r}, "
+                              f"expected {expected}")
+
+
 def _vector(model: GnnModel, arrays, section: str) -> np.ndarray:
     """Per-parameter arrays as one vector laid out like model.flat."""
     try:
@@ -217,6 +244,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"section 'resume_arrays': {len(arrays)} arrays, "
                                   f"expected {2 * half} (Adam m and v)")
         try:
+            for f in _RESUME_SCALARS:
+                _check_resume_scalar(f, scalars[f.name])
             adam = AdamState(m=_vector(model, arrays[:half], "resume_arrays (Adam m)"),
                              v=_vector(model, arrays[half:], "resume_arrays (Adam v)"),
                              **_entries(scalars, AdamState, skip=_MOMENTS))

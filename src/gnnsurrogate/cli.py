@@ -92,6 +92,17 @@ def train_configs(path, seed=None):
     return featurizer, model_cfg, training.TrainConfig(**train_kw, task=task)
 
 
+def _model_settings(featurizer: Featurizer, model_cfg: gnn.GnnConfig) -> dict:
+    """The [model] settings of a featurizer and model config by INI key. The
+    task comes first, so that a changed task is named rather than the head
+    sizes it implies."""
+    settings = {"task": model_cfg.task}
+    for obj in (featurizer, model_cfg):
+        settings.update({_INI_KEYS.get(f.name, f.name): getattr(obj, f.name)
+                         for f in dataclasses.fields(obj) if f.name not in _DERIVED})
+    return settings
+
+
 def cmd_gen(args) -> int:
     spec = synthetic_spec(args.config)
     records = generate_synthetic(spec)
@@ -109,16 +120,22 @@ def cmd_train(args) -> int:
     records = read_dataset(args.data)
 
     if args.resume:
+        ini_settings = _model_settings(featurizer, model_cfg)
         model, featurizer, state = ckpt.load_checkpoint(args.resume)
         if state is None:
             raise ValueError(f"{args.resume} carries no training-resume state")
+        for key, value in _model_settings(featurizer, model.config).items():
+            if ini_settings[key] != value:
+                raise ConfigFileError(f"{args.config}: [model] {key}: {ini_settings[key]!r}, "
+                                      f"but checkpoint {args.resume} has {value!r}")
+        samples = featurizer.transform_all(records)
     else:
-        featurizer.fit(records)
+        samples = featurizer.fit_transform(records)
         model = gnn.build_model(model_cfg, seed=train_cfg.seed)
         state = ckpt.TrainResumeState(adam=training.AdamState.for_parameters(model.parameters()),
                                       schedule=train_cfg.plateau_schedule(), epoch=0)
 
-    graphs = [s.graph for s in featurizer.transform_all(records)]
+    graphs = [s.graph for s in samples]
     log = training.fit(model, graphs, train_cfg, adam_state=state.adam,
                        schedule=state.schedule, start_epoch=state.epoch)
     state.epoch = log.records[-1].epoch + 1

@@ -136,9 +136,12 @@ def _floats_from_json(values, name: str) -> np.ndarray:
 
 
 def _record_from_json(obj: dict) -> GraphRecord:
+    positions = _floats_from_json(obj["positions"], "positions")
+    if "dim" in obj and positions.ndim == 2 and obj["dim"] != positions.shape[1]:
+        raise ValueError(f"dim {obj['dim']!r}, but positions have {positions.shape[1]} columns")
     return GraphRecord(
         graph_id=str(obj["id"]),
-        positions=_floats_from_json(obj["positions"], "positions"),
+        positions=positions,
         cells=obj.get("cells"),
         chain=_bool_from_json(obj, "chain"),
         closed=_bool_from_json(obj, "closed"),
@@ -381,12 +384,25 @@ class Featurizer:
         return FeatureDesignEncoding(self.cell_type_vocabulary).node_feature_width
 
     @property
-    def edge_feature_width(self) -> int:
-        return (2 if self.encoding_kind == "airfoil" else 3) + 1
+    def position_width(self) -> int:
+        """The positions' columns the encoding takes: 2-D surface chains for
+        airfoil, 3-D meshes for feature design."""
+        return 2 if self.encoding_kind == "airfoil" else 3
 
-    def _raw_features(self, rec: GraphRecord, topo: Graph):
-        """Unnormalized node and edge features; per-node input that does not
-        fit the encoding raises DatasetFormatError naming the record."""
+    @property
+    def edge_feature_width(self) -> int:
+        return self.position_width + 1
+
+    def _encode(self, rec: GraphRecord):
+        """(topology, raw node and edge features, physical node target as
+        (n, -1) or None) of one record; input that does not fit the encoding
+        raises DatasetFormatError naming the record."""
+        rec.validate()
+        if rec.positions.shape[1] != self.position_width:
+            raise DatasetFormatError(
+                f"record {rec.graph_id}: {rec.positions.shape[1]}-D positions, but the "
+                f"{self.encoding_kind} encoding takes {self.position_width}-D positions")
+        topo = rec.build_topology()
         try:
             if self.encoding_kind == "airfoil":
                 if rec.freestream is None or rec.upper_flags is None:
@@ -400,31 +416,35 @@ class Featurizer:
                 nf = encode_nodes_feature_design(topo, enc, rec.node_cell_types)
         except ValueError as exc:
             raise DatasetFormatError(f"record {rec.graph_id}: {exc}") from exc
-        return nf, encode_edges(topo)
+        target = None if rec.node_target is None else rec.node_target.reshape(topo.num_nodes, -1)
+        return topo, nf, encode_edges(topo), target
 
     def fit(self, records: list[GraphRecord]) -> "Featurizer":
-        node_blocks, edge_blocks, target_blocks = [], [], []
-        for rec in records:
-            topo = rec.validate().build_topology()
-            nf, ef = self._raw_features(rec, topo)
-            node_blocks.append(nf)
-            edge_blocks.append(ef)
-            if self.node_target_mode == "zscore" and rec.node_target is not None:
-                target_blocks.append(np.atleast_2d(rec.node_target.reshape(len(nf), -1)))
-        self.node_norm.fit(*node_blocks)
-        self.edge_norm.fit(*edge_blocks)
-        if self.node_target_mode == "zscore" and target_blocks:
-            self.target_norm = Normalizer().fit(*target_blocks)
+        return self._fit([self._encode(rec) for rec in records])
+
+    def _fit(self, encoded: list) -> "Featurizer":
+        """Fit the normalizers on `_encode`'s outputs."""
+        self.node_norm.fit(*(nf for _, nf, _, _ in encoded))
+        self.edge_norm.fit(*(ef for _, _, ef, _ in encoded))
+        targets = [t for *_, t in encoded if t is not None]
+        if self.node_target_mode == "zscore" and targets:
+            self.target_norm = Normalizer().fit(*targets)
         return self
 
+    def fit_transform(self, records: list[GraphRecord]) -> list[Sample]:
+        """`fit(records)`, then `transform_all(records)`, with the same bits,
+        but each record validated, built and encoded once."""
+        encoded = [self._encode(rec) for rec in records]
+        self._fit(encoded)
+        return [self._normalize(rec, *enc) for rec, enc in zip(records, encoded)]
+
     def transform(self, rec: GraphRecord) -> Sample:
-        topo = rec.validate().build_topology()
-        nf, ef = self._raw_features(rec, topo)
-        node_targets = None
-        pressure_mean = None
-        target_phys = None
-        if rec.node_target is not None:
-            target_phys = rec.node_target.reshape(topo.num_nodes, -1)
+        return self._normalize(rec, *self._encode(rec))
+
+    def _normalize(self, rec: GraphRecord, topo: Graph, nf, ef, target_phys) -> Sample:
+        """The sample of `rec` from its `_encode` output and the fitted normalizers."""
+        node_targets = pressure_mean = None
+        if target_phys is not None:
             if self.node_target_mode == "zscore":
                 if self.target_norm is None:
                     raise DatasetFormatError(

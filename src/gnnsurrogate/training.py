@@ -258,6 +258,9 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
     heap and goes back to it; the policy stays after `fit` returns."""
     if not graphs:
         raise ValueError("empty training set")
+    if config.task != mdl.config.task:
+        raise ValueError(f"TrainConfig task {config.task!r} does not match the "
+                         f"model's task {mdl.config.task!r}")
     _keep_step_memory_in_heap()
     if adam_state is None:
         adam_state = AdamState.for_parameters(mdl.parameters())

@@ -1,9 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 import gnnsurrogate as gs
+from gnnsurrogate import checkpoint, datasets
 from gnnsurrogate.mlp import forward_tape
 from gnnsurrogate.model import GnnConfig, build_model
 
@@ -52,8 +54,8 @@ def featurized_samples(seed, count, **spec_kw):
     spec = gs.SyntheticSpec(seed=seed, count=count, **spec_kw)
     recs = gs.generate_synthetic(spec)
     kind = "airfoil" if spec.family == "chain" else "feature_design"
-    feat = gs.Featurizer(kind).fit(recs)
-    return feat, feat.transform_all(recs)
+    feat = gs.Featurizer(kind)
+    return feat, feat.fit_transform(recs)
 
 
 def untimed_log(path):
@@ -63,3 +65,36 @@ def untimed_log(path):
     for rec in records:
         assert rec.pop("wall_time") >= 0.0
     return records
+
+
+def edit_resume_meta(path, **entries):
+    """Rewrite the checkpoint at `path` with `entries` set in its
+    'resume_meta' section, as a hand edit of the file would."""
+    raw = path.read_bytes()
+    start = len(checkpoint.MAGIC) + 4
+    sections = checkpoint._read_sections(raw, start)
+    sections["resume_meta"] = json.dumps({**json.loads(sections["resume_meta"]),
+                                          **entries}).encode()
+    out = io.BytesIO()
+    for name, payload in sections.items():
+        checkpoint._write_section(out, name, payload)
+    path.write_bytes(raw[:start] + out.getvalue())
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Wrap `owner.name` so that each call adds one to counts[name]."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def count_featurizing(monkeypatch) -> dict:
+    """Counts of record validations and topology builds, by function name."""
+    counts = {}
+    for owner, name in ((datasets.GraphRecord, "validate"),
+                        (datasets, "build_surface_chain"), (datasets, "build_from_mesh")):
+        count_calls(monkeypatch, owner, name, counts)
+    return counts

@@ -8,7 +8,7 @@ import pytest
 import gnnsurrogate as gs
 from gnnsurrogate import cli, training
 from gnnsurrogate.cli import cli_main
-from conftest import untimed_log
+from conftest import count_featurizing, edit_resume_meta, untimed_log
 
 GEN_INI = """\
 [synthetic]
@@ -581,3 +581,135 @@ class TestBadIni:
         assert err.startswith(f"error: {cfg}: {names}"), err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists() and not (tmp_path / "out.log").exists()
+
+
+class TestFeaturizeOnce:
+    def test_train_validates_and_builds_each_record_once(self, workspace, monkeypatch):
+        tmp_path, train_cfg, data = workspace
+        counts = count_featurizing(monkeypatch)
+        out = train(tmp_path, train_cfg, data)
+        assert counts == {"validate": 8, "build_surface_chain": 8}
+        counts.clear()
+        train(tmp_path, train_cfg, data, "resumed.ckpt", extra=("--resume", str(out)))
+        assert counts == {"validate": 8, "build_surface_chain": 8}
+
+
+class TestResumeSettings:
+    """`train --resume` refuses an INI whose [model] differs from the
+    checkpoint's, naming the file, the section, the first differing key and
+    both values, before any training; [training] keys may differ."""
+
+    CASES = {
+        "task_and_latent": ({"task = node_level": "task = graph_level",
+                             "latent_size = 4": "latent_size = 16"},
+                            "task: 'graph_level', but checkpoint {ckpt} has 'node_level'"),
+        "latent_size": ({"latent_size = 4": "latent_size = 16"},
+                        "latent_size: 16, but checkpoint {ckpt} has 4"),
+        "encoding": ({"encoding = airfoil": "encoding = feature_design"},
+                     "encoding: 'feature_design', but checkpoint {ckpt} has 'airfoil'"),
+        "target_mode": ({"target_mode = zscore": "target_mode = none"},
+                        "target_mode: 'none', but checkpoint {ckpt} has 'zscore'"),
+        "sine_frequency": ({"target_mode = zscore": "target_mode = zscore\n"
+                                                    "sine_frequency = 2.0"},
+                           "sine_frequency: 2.0, but checkpoint {ckpt} has 1.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_differing_model_section_exits_2(self, workspace, capsys, monkeypatch, case):
+        tmp_path, train_cfg, data = workspace
+        ckpt = train(tmp_path, train_cfg, data)
+        edits, names = self.CASES[case]
+        text = TRAIN_INI
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "changed.ini"
+        cfg.write_text(text)
+        out = tmp_path / "resumed.ckpt"
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out), "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: [model] {names.format(ckpt=ckpt)}\n"
+        assert not out.exists()
+
+    def test_training_section_may_differ(self, workspace):
+        tmp_path, train_cfg, data = workspace
+        ckpt = train(tmp_path, train_cfg, data)
+        cfg = tmp_path / "more.ini"
+        cfg.write_text(TRAIN_INI.replace("epochs = 3", "epochs = 1")
+                       .replace("batch_size = 4", "batch_size = 2"))
+        train(tmp_path, cfg, data, "resumed.ckpt", extra=("--resume", str(ckpt)))
+        log = (tmp_path / "resumed.ckpt.log").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in log] == [3]
+
+
+class TestPositionsWidth:
+    """A positions width the encoding does not take, or a `dim` that
+    disagrees with the positions, exits 2 naming the record, before any
+    training."""
+
+    @staticmethod
+    def lift(rec):
+        rec["positions"] = [p + [0.0] for p in rec["positions"]]
+        rec["dim"] = 3
+
+    @staticmethod
+    def flatten(rec):
+        rec["positions"] = [p[:2] for p in rec["positions"]]
+        rec["dim"] = 2
+
+    @pytest.mark.parametrize("case", ["airfoil_all_3d", "airfoil_one_3d", "mesh_2d",
+                                      "dim_disagrees"])
+    def test_exits_2_naming_the_record(self, workspace, capsys, monkeypatch, case):
+        tmp_path, train_cfg, data = workspace
+        if case == "mesh_2d":
+            recs = gs.generate_synthetic(gs.SyntheticSpec(seed=9, count=4, min_nodes=6,
+                                                          max_nodes=9, family="patch2d"))
+            data = tmp_path / "mesh.jsonl"
+            gs.write_dataset(recs, data)
+            train_cfg = tmp_path / "mesh.ini"
+            train_cfg.write_text(TRAIN_INI.replace("encoding = airfoil",
+                                                   "encoding = feature_design"))
+        lines = data.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        edited = {"airfoil_all_3d": records, "airfoil_one_3d": records[2:3],
+                  "mesh_2d": records[2:3], "dim_disagrees": records[2:3]}[case]
+        for rec in edited:
+            if case == "mesh_2d":
+                self.flatten(rec)
+            elif case == "dim_disagrees":
+                rec["dim"] = 3
+            else:
+                self.lift(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "bad.ckpt")]) == 2
+        err = capsys.readouterr().err
+        name = edited[0]["id"]
+        expected = {
+            "mesh_2d": f"record {name}: 2-D positions, but the feature_design encoding "
+                       f"takes 3-D positions",
+            "dim_disagrees": f"{bad}: line 4 (record {name}): bad record: dim 3, but "
+                             f"positions have 2 columns"}.get(
+            case, f"record {name}: 3-D positions, but the airfoil encoding takes 2-D positions")
+        assert err == f"error: {expected}\n"
+
+
+class TestBadResumeScalar:
+    def test_inspect_and_resume_exit_2(self, workspace, capsys, monkeypatch):
+        tmp_path, train_cfg, data = workspace
+        ckpt = train(tmp_path, train_cfg, data)
+        edit_resume_meta(ckpt, epoch="1")
+        monkeypatch.setattr(training, "fit", _no_training)
+        message = ("error: section 'resume_meta': entry 'epoch' is '1', "
+                   "expected a non-negative integer\n")
+        capsys.readouterr()
+        assert cli_main(["inspect", "--ckpt", str(ckpt)]) == 2
+        assert capsys.readouterr().err == message
+        assert cli_main(["train", "--config", str(train_cfg), "--data", str(data),
+                         "--out", str(tmp_path / "resumed.ckpt"), "--resume", str(ckpt)]) == 2
+        assert capsys.readouterr().err == message

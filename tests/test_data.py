@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -12,7 +13,7 @@ from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
 from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, SeligParseError,
                                    chain_target, patch_target, record_from_selig)
 from gnnsurrogate.training import AdamState, PlateauSchedule
-from conftest import featurized_samples, tiny_config
+from conftest import count_featurizing, edit_resume_meta, featurized_samples, tiny_config
 
 
 class TestDatasetRoundTrip:
@@ -396,6 +397,82 @@ class TestFeaturizer:
             feat.transform(with_target)
 
 
+class TestFeaturizeOnce:
+    FAMILIES = {"chain": ("airfoil", "build_surface_chain"),
+                "patch3d": ("feature_design", "build_from_mesh")}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("call", ["fit", "transform_all", "fit_transform"])
+    def test_each_record_validated_and_built_once(self, monkeypatch, family, call):
+        encoding, builder = self.FAMILIES[family]
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=4, count=5, min_nodes=5,
+                                                      max_nodes=8, family=family))
+        fitted = gs.Featurizer(encoding).fit(recs)
+        counts = count_featurizing(monkeypatch)
+        if call == "fit":
+            gs.Featurizer(encoding).fit(recs)
+        elif call == "transform_all":
+            fitted.transform_all(recs)
+        else:
+            gs.Featurizer(encoding).fit_transform(recs)
+        assert counts == {"validate": 5, builder: 5}
+
+
+class TestPositionsWidth:
+    """Each encoding takes one positions width, airfoil 2 and feature design
+    3; any other is refused naming the record, the width and the encoding."""
+
+    @staticmethod
+    def lifted(rec):
+        rec.positions = np.column_stack([rec.positions, np.zeros(len(rec.positions))])
+        return rec
+
+    def chains(self):
+        return gs.generate_synthetic(gs.SyntheticSpec(seed=6, count=3, min_nodes=5,
+                                                      max_nodes=8))
+
+    def test_all_3d_airfoil_records_refused(self):
+        recs = [self.lifted(r) for r in self.chains()]
+        for call in (gs.Featurizer("airfoil").fit, gs.Featurizer("airfoil").fit_transform):
+            with pytest.raises(DatasetFormatError, match=(
+                    f"^record {recs[0].graph_id}: 3-D positions, but the airfoil "
+                    f"encoding takes 2-D positions$")):
+                call(recs)
+
+    def test_mixed_airfoil_record_refused(self):
+        recs = self.chains()
+        feat = gs.Featurizer("airfoil").fit(recs)
+        self.lifted(recs[1])
+        with pytest.raises(DatasetFormatError, match=f"^record {recs[1].graph_id}: 3-D"):
+            gs.Featurizer("airfoil").fit(recs)
+        with pytest.raises(DatasetFormatError, match=f"^record {recs[1].graph_id}: 3-D"):
+            feat.transform(recs[1])
+
+    def test_2d_mesh_refused_by_feature_design(self):
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=6, count=3, min_nodes=5,
+                                                      max_nodes=8, family="patch2d"))
+        recs[2].positions = recs[2].positions[:, :2]
+        with pytest.raises(DatasetFormatError, match=(
+                f"^record {recs[2].graph_id}: 2-D positions, but the feature_design "
+                f"encoding takes 3-D positions$")):
+            gs.Featurizer("feature_design").fit_transform(recs)
+
+    def test_read_dataset_refuses_a_dim_that_disagrees(self, tmp_path):
+        recs = self.chains()
+        path = tmp_path / "d.jsonl"
+        gs.write_dataset(recs, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert rec["dim"] == 2
+        rec["dim"] = 3
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 3 (record {recs[1].graph_id}): bad record: "
+                f"dim 3, but positions have 2 columns")):
+            gs.read_dataset(path)
+
+
 class TestCheckpoint:
     def make(self, seed=0):
         feat, samples = featurized_samples(40, 3, min_nodes=5, max_nodes=8)
@@ -551,6 +628,37 @@ class TestCheckpoint:
         save_checkpoint(m, feat, path, resume=resume)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("epoch", "1", "a non-negative integer"),
+        ("epoch", 1.0, "a non-negative integer"),
+        ("t", -1, "a non-negative integer"),
+        ("t", True, "a non-negative integer"),
+        ("bad_epochs", None, "a non-negative integer"),
+        ("patience", 2.5, "a non-negative integer"),
+        ("lr", "1e-4", "a finite number"),
+        ("lr", False, "a finite number"),
+        ("beta2", float("nan"), "a finite number"),
+        ("eps", float("inf"), "a finite number"),
+        pytest.param("factor", 10 ** 400, "a finite number", id="factor-beyond-float64"),
+        ("best", float("-inf"), "a finite number or Infinity"),
+        ("best", [0.5], "a finite number or Infinity")])
+    def test_bad_resume_scalar_is_named(self, tmp_path, name, value, expected):
+        _, _, path = self.resumable(tmp_path)
+        edit_resume_meta(path, **{name: value})
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"section 'resume_meta': entry {name!r} is {value!r}, expected {expected}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("epoch", 0), ("t", 12), ("lr", 1),
+                                             ("best", float("inf")), ("best", 0.25)])
+    def test_good_resume_scalars_load(self, tmp_path, name, value):
+        _, _, path = self.resumable(tmp_path)
+        edit_resume_meta(path, **{name: value})
+        _, _, resume = load_checkpoint(path)
+        scalars = {**dataclasses.asdict(resume.schedule), "epoch": resume.epoch,
+                   "t": resume.adam.t}
+        assert scalars[name] == value and type(scalars[name]) is type(value)
 
     @pytest.mark.parametrize("section", ["params", "resume_arrays"])
     def test_array_shapes_must_match_the_config(self, tmp_path, section):

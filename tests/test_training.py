@@ -165,6 +165,22 @@ class TestFit:
                                     task="graph_level"))
         assert log.records[-1].mean_loss < log.records[0].mean_loss
 
+    @pytest.mark.parametrize("model_task, config_task", [("node_level", "graph_level"),
+                                                         ("graph_level", "node_level")])
+    def test_task_mismatch_refused(self, model_task, config_task):
+        """A config whose task the model's heads do not match would train the
+        wrong head; fit refuses it before any step."""
+        feat, samples = featurized_samples(9, 3, min_nodes=4, max_nodes=6)
+        node_level = model_task == "node_level"
+        m = gnn.build_model(tiny_config(node_out=1 if node_level else None,
+                                        graph_out=3 if node_level else 1), 0)
+        before = m.flat.copy()
+        with pytest.raises(ValueError, match=f"TrainConfig task '{config_task}' does not "
+                                             f"match the model's task '{model_task}'"):
+            tr.fit(m, [s.graph for s in samples],
+                   gs.TrainConfig(epochs=1, batch_size=3, task=config_task))
+        assert m.flat.tobytes() == before.tobytes()
+
     def test_divergence_reported_with_location(self):
         feat, samples = featurized_samples(10, 2, min_nodes=4, max_nodes=5)
         m = gnn.build_model(tiny_config(), 0)
