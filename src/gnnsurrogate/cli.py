@@ -12,8 +12,8 @@ import sys
 from . import checkpoint as ckpt
 from . import evaluation, training
 from . import model as gnn
-from .datasets import (Featurizer, SyntheticSpec, generate_synthetic,
-                       read_dataset, write_dataset)
+from .datasets import (DatasetFormatError, Featurizer, SyntheticSpec,
+                       generate_synthetic, read_dataset, write_dataset)
 
 
 class ConfigFileError(ValueError):
@@ -103,6 +103,14 @@ def _model_settings(featurizer: Featurizer, model_cfg: gnn.GnnConfig) -> dict:
     return settings
 
 
+def _read_records(path) -> list:
+    """`read_dataset(path)`, refusing a file that holds no records."""
+    records = read_dataset(path)
+    if not records:
+        raise DatasetFormatError(f"{path}: holds no records")
+    return records
+
+
 def cmd_gen(args) -> int:
     spec = synthetic_spec(args.config)
     records = generate_synthetic(spec)
@@ -117,7 +125,7 @@ def cmd_train(args) -> int:
         if os.path.isdir(path):      # refused now, not after every epoch has trained
             raise IsADirectoryError(f"{flag} {path} is a directory")
     featurizer, model_cfg, train_cfg = train_configs(args.config, args.seed)
-    records = read_dataset(args.data)
+    records = _read_records(args.data)
 
     if args.resume:
         ini_settings = _model_settings(featurizer, model_cfg)
@@ -152,7 +160,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, featurizer, _ = ckpt.load_checkpoint(args.ckpt)
-    records = read_dataset(args.data)
+    records = _read_records(args.data)
     samples = featurizer.transform_all(records)
     if model.config.task == "node_level":
         report = evaluation.evaluate_node_level(model, samples, split=args.split)
@@ -167,7 +175,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, featurizer, _ = ckpt.load_checkpoint(args.ckpt)
-    records = read_dataset(args.data)
+    records = _read_records(args.data)
     if not (0 <= args.index < len(records)):
         raise IndexError(f"record index {args.index} out of range, have {len(records)}")
     sample = featurizer.transform(records[args.index])
@@ -191,7 +199,7 @@ def cmd_predict(args) -> int:
 
 def cmd_inspect(args) -> int:
     if args.data:
-        records = read_dataset(args.data)
+        records = _read_records(args.data)
         counts = [r.positions.shape[0] for r in records]
         kinds = {("chain" if r.chain else "mesh") for r in records}
         print(f"{args.data}: {len(records)} graphs ({', '.join(sorted(kinds))}), "

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
 from .graph import (Graph, InvalidChainError, InvalidMeshError, build_from_mesh,
                     build_surface_chain)
@@ -304,7 +304,7 @@ def _synthetic_patch(rng, n, gid, three_d) -> GraphRecord:
         try:
             tri = Delaunay(xy)
             break
-        except Exception:
+        except QhullError:
             continue
     else:
         raise RuntimeError("failed to triangulate random patch")
@@ -427,8 +427,8 @@ class Featurizer:
         self.node_norm.fit(*(nf for _, nf, _, _ in encoded))
         self.edge_norm.fit(*(ef for _, _, ef, _ in encoded))
         targets = [t for *_, t in encoded if t is not None]
-        if self.node_target_mode == "zscore" and targets:
-            self.target_norm = Normalizer().fit(*targets)
+        self.target_norm = (Normalizer().fit(*targets)
+                            if self.node_target_mode == "zscore" and targets else None)
         return self
 
     def fit_transform(self, records: list[GraphRecord]) -> list[Sample]:

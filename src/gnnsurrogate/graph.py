@@ -79,10 +79,6 @@ class BatchedGraph:
     segments: list[tuple[int, int]] = field(default_factory=list)  # (start, length)
     graph_targets: np.ndarray | None = None   # (m, d_G)
 
-    @property
-    def num_members(self) -> int:
-        return len(self.segments)
-
     def segment_ids(self) -> np.ndarray:
         """Per-node member index, shape (N_total,)."""
         out = np.empty(self.graph.num_nodes, dtype=np.int64)

@@ -44,9 +44,8 @@ class Mlp:
 
 
 def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
-    """Weights ~ N(0, 2/fan_in), biases zero."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else np.random.default_rng(seed_or_rng)
+    """Weights ~ N(0, 2/fan_in), biases zero; float64, which forward_tape and backward keep."""
+    rng = np.random.default_rng(seed_or_rng)   # returns a Generator unaltered
     weights, biases = [], []
     for fan_in, fan_out in config.layer_sizes():
         std = np.sqrt(2.0 / fan_in)
@@ -63,11 +62,11 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
     cosine of it directly. A caller that forms the first layer's product
     x @ W0 itself (the graph model does so block by block) passes it as `z0`,
     which this function adds the bias to in place; `x` is then not used and
-    hs[0] is None.
+    hs[0] is None. Every array takes the weights' dtype; `x` is cast to it.
     """
     cfg = mlp.config
     if z0 is None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(x, dtype=mlp.weights[0].dtype))
         if x.shape[1] != cfg.input_size:
             raise ValueError(f"input width {x.shape[1]}, expected {cfg.input_size}")
         z = x @ mlp.weights[0]
@@ -101,16 +100,16 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
     written into `out` (one array per parameter) when it is given.
 
     The tape is single-use: its layers are popped and overwritten, so a
-    second backward on it raises RuntimeError; x and grad_output are only
-    read. With `input_grad` False the input gradient is None. For a tape
-    recorded from `z0`, the first element is the gradient wrt the first
-    pre-activation and gW0 is left to the caller that formed z0."""
+    second backward on it raises RuntimeError; x and grad_output (cast to
+    the weights' dtype) are only read. With `input_grad` False the input
+    gradient is None. For a tape recorded from `z0`, the first element is the
+    gradient wrt the first pre-activation and gW0 is left to the caller."""
     if tape is None or len(tape[1]) != len(mlp.weights):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
     cfg = mlp.config
     w0 = cfg.sine_frequency
-    g = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(grad_output, dtype=mlp.weights[0].dtype))
     last = len(mlp.weights) - 1
     param_grads = [None] * (2 * len(mlp.weights)) if out is None else out
     hs.pop()                                # the output

@@ -54,10 +54,10 @@ class GnnConfig:
 
 @dataclass
 class GnnModel:
-    """The model's MLP blocks, whose weights and biases are views into one
-    contiguous float64 vector `flat` in parameters() order. Parameter i is
-    flat[offsets[i]:offsets[i + 1]] reshaped to shapes[i]. Writes through a
-    view or into `flat` change the model; nothing may rebind them."""
+    """MLP blocks whose weights and biases are views into one contiguous
+    vector `flat` in parameters() order; the model computes in flat's dtype.
+    Parameter i is flat[offsets[i]:offsets[i + 1]] reshaped to shapes[i].
+    Writes through a view or into `flat` change the model; nothing may rebind them."""
 
     config: GnnConfig
     encoder_edge: Mlp
@@ -156,10 +156,10 @@ def _segment_mean(values: np.ndarray, segments) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
-def _incidence(index: np.ndarray, num_nodes: int):
+def _incidence(index: np.ndarray, num_nodes: int, dtype):
     """(N, E) 0/1 matrix with a one at (index[j], j): a scatter-add as a matmul."""
     num_e = len(index)
-    return sparse.csr_matrix((np.ones(num_e), (index, np.arange(num_e))),
+    return sparse.csr_matrix((np.ones(num_e, dtype), (index, np.arange(num_e))),
                              shape=(num_nodes, num_e))
 
 
@@ -221,7 +221,7 @@ def message_passing_step(model: GnnModel, k: int, graph: Graph, state,
         raise ConfigError(f"step {k} out of range, model has {model.config.steps}")
     v, e = state
     if recv_mat is None:
-        recv_mat = _incidence(graph.receivers, graph.num_nodes)
+        recv_mat = _incidence(graph.receivers, graph.num_nodes, model.flat.dtype)
     pe, pn = model.processor_edge[k], model.processor_node[k]
     edge_blocks = [(e, None), (v, graph.senders), (v, graph.receivers)]
     ue, tape_pe = nn.forward_tape(pe, None, z0=_first_layer(pe.weights[0], edge_blocks))
@@ -262,7 +262,7 @@ def _run_stages(model: GnnModel, graph_or_batch, tape: list | None):
     """The stages in order, with one receiver incidence for every step."""
     batch = _as_batch(graph_or_batch)
     g = batch.graph
-    recv_mat = _incidence(g.receivers, g.num_nodes)
+    recv_mat = _incidence(g.receivers, g.num_nodes, model.flat.dtype)
     state = encode(model, g, tape)
     for k in range(model.config.steps):
         state = message_passing_step(model, k, g, state, recv_mat, tape)
@@ -301,8 +301,9 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     g = tape[0][0]               # encode's entry, at the bottom, holds the graph
-    gv = np.zeros((g.num_nodes, cfg.latent_size))
-    ge = np.zeros((g.num_edges, cfg.latent_size))
+    dtype = model.flat.dtype
+    gv = np.zeros((g.num_nodes, cfg.latent_size), dtype)
+    ge = np.zeros((g.num_edges, cfg.latent_size), dtype)
     grad = np.zeros_like(model.flat)
     views, n = model.split(grad), 2 * (cfg.depth + 1)
     outs = [views[i:i + n] for i in range(0, len(views), n)]   # per MLP, popped as the tape
@@ -320,16 +321,16 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
             gv += gv_dn
 
     tape_dg, segments = tape.pop()
-    gy_graph = np.zeros((len(segments), cfg.graph_output_size))
+    gy_graph = np.zeros((len(segments), cfg.graph_output_size), dtype)
     if grad_graph_out is not None:
         gy_graph = gy_graph + grad_graph_out
     if gy_dn is not None:
         gy_graph += gy_dn
     gpooled, _ = nn.backward(model.decoder_graph, tape_dg, gy_graph, out=outs.pop())
-    lengths = np.array([length for _, length in segments])
-    gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
+    lengths = [length for _, length in segments]
+    gv += np.repeat(gpooled / np.array(lengths, dtype)[:, None], lengths, axis=0)
 
-    r, send_mat = g.receivers, _incidence(g.senders, g.num_nodes)
+    r, send_mat = g.receivers, _incidence(g.senders, g.num_nodes, dtype)
     for k in range(cfg.steps - 1, -1, -1):
         recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
         pe, pn = model.processor_edge[k], model.processor_node[k]

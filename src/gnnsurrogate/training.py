@@ -21,12 +21,11 @@ class TrainingDivergedError(RuntimeError):
 
 
 def mae_loss(predictions: np.ndarray, targets: np.ndarray):
-    """Mean |error| over every supervised entry; returns (value, d/dpred)."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    """(mean |error| over every supervised entry, d/dpred) in the predictions' dtype."""
+    predictions, targets = np.asarray(predictions), np.asarray(targets)
     if predictions.shape != targets.shape:
         raise ValueError(f"prediction shape {predictions.shape} != target {targets.shape}")
-    diff = predictions - targets
+    diff = predictions - targets.astype(predictions.dtype, copy=False)
     value = np.abs(diff).mean()
     grad = np.sign(diff) / diff.size
     return value, grad
@@ -50,7 +49,7 @@ def l1_penalty(theta: np.ndarray, coefficient: float, offsets):
 def loss(predictions, targets, parameters, l1_coefficient: float):
     """MAE + L1 for a list of parameter arrays (model.parameters())."""
     data, _ = mae_loss(predictions, targets)
-    theta = np.concatenate([np.ravel(p) for p in parameters]) if parameters else np.zeros(0)
+    theta = np.concatenate([np.ravel(p) for p in parameters] or [np.zeros(0, data.dtype)])
     offsets = np.cumsum([0] + [np.size(p) for p in parameters])
     reg, _ = l1_penalty(theta, l1_coefficient, offsets)
     return data + reg
@@ -68,9 +67,9 @@ class AdamState:
     @classmethod
     def for_parameters(cls, parameters, **kwargs) -> "AdamState":
         """Zero moments for a list of parameter arrays, as flat vectors of
-        their total size."""
-        size = sum(np.size(p) for p in parameters)
-        return cls(m=np.zeros(size), v=np.zeros(size), t=0, **kwargs)
+        their total size and their dtype."""
+        size, dtype = sum(np.size(p) for p in parameters), np.result_type(*parameters)
+        return cls(m=np.zeros(size, dtype), v=np.zeros(size, dtype), t=0, **kwargs)
 
 
 def adam_step(theta: np.ndarray, gradient: np.ndarray, state: AdamState, lr: float):

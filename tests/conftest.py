@@ -6,7 +6,7 @@ import pytest
 
 import gnnsurrogate as gs
 from gnnsurrogate import checkpoint, datasets
-from gnnsurrogate.mlp import forward_tape
+from gnnsurrogate.mlp import Mlp, forward_tape
 from gnnsurrogate.model import GnnConfig, build_model
 
 
@@ -43,6 +43,12 @@ def mlp_forward(mlp, x):
     """An MLP's output for rows `x`, without keeping its tape."""
     y, _ = forward_tape(mlp, x)
     return y
+
+
+def cast_mlp(mlp, dtype):
+    """An MLP of mlp's config holding its parameters cast to `dtype`."""
+    return Mlp(mlp.config, [w.astype(dtype) for w in mlp.weights],
+               [b.astype(dtype) for b in mlp.biases])
 
 
 def zero_final_layer(mlp):

@@ -315,8 +315,8 @@ def _no_training(*args, **kwargs):
 
 
 class TestBadInvocations:
-    """A path or config file the CLI cannot use exits 2 with one `error:`
-    line, before any training."""
+    """A path, config or data file the CLI cannot use exits 2 with one
+    `error:` line and no warning, before any training."""
 
     CASES = {
         "train_data_is_a_directory": "train --config {cfg} --data {dir} --out {out}",
@@ -328,16 +328,24 @@ class TestBadInvocations:
         "eval_ckpt_is_a_directory": "eval --ckpt {dir} --data {data}",
         "predict_data_is_a_directory": "predict --ckpt {dir} --data {dir}",
         "inspect_data_is_a_directory": "inspect --data {dir}",
+        "train_data_holds_no_records": "train --config {cfg} --data {empty} --out {out}",
+        "eval_data_holds_no_records": "eval --ckpt {ckpt} --data {empty}",
+        "predict_data_holds_no_records": "predict --ckpt {ckpt} --data {empty}",
+        "inspect_data_holds_no_records": "inspect --data {empty}",
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch, case):
         tmp_path, train_cfg, data = workspace
         (tmp_path / "dir").mkdir()
         (tmp_path / "bare.ini").write_text("epochs = 3\n")
+        gs.write_dataset([], tmp_path / "empty.jsonl")     # the header line alone
         paths = {"cfg": train_cfg, "data": data, "dir": tmp_path / "dir",
                  "out": tmp_path / "m.ckpt", "bare": tmp_path / "bare.ini",
-                 "gen": tmp_path / "gen.ini"}
+                 "gen": tmp_path / "gen.ini", "empty": tmp_path / "empty.jsonl"}
+        if "{ckpt}" in self.CASES[case]:
+            paths["ckpt"] = train(tmp_path, train_cfg, data, name="trained.ckpt")
         argv = [arg.format(**{k: str(v) for k, v in paths.items()})
                 for arg in self.CASES[case].split()]
         monkeypatch.setattr(training, "fit", _no_training)
@@ -346,6 +354,8 @@ class TestBadInvocations:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        if "{empty}" in self.CASES[case]:
+            assert f"{paths['empty']}: holds no records" in err
 
 
 class TestJsonBooleans:

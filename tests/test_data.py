@@ -4,9 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 import gnnsurrogate as gs
-from gnnsurrogate import checkpoint
+from gnnsurrogate import checkpoint, datasets
 from gnnsurrogate import model as gnn
 from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
                                      load_checkpoint, save_checkpoint)
@@ -50,6 +51,10 @@ class TestDatasetRoundTrip:
                                                           max_nodes=10, family=family))
             for r in recs:
                 assert gs.validate(r.build_topology()) == []
+
+    def test_header_only_file_has_no_records(self, tmp_path):
+        gs.write_dataset([], tmp_path / "empty.jsonl")
+        assert gs.read_dataset(tmp_path / "empty.jsonl") == []
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -339,6 +344,28 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             gs.SyntheticSpec(seed=0, count=1, min_nodes=9, max_nodes=5)
 
+    def test_patch_retries_only_a_failed_triangulation(self, monkeypatch):
+        calls, real = [], datasets.Delaunay
+
+        def flaky(points):
+            calls.append(len(points))
+            if len(calls) == 1:
+                raise QhullError("degenerate")
+            return real(points)
+        monkeypatch.setattr(datasets, "Delaunay", flaky)
+        spec = gs.SyntheticSpec(seed=9, count=1, min_nodes=6, max_nodes=6, family="patch2d")
+        (rec,) = gs.generate_synthetic(spec)
+        assert len(calls) == 2 and rec.positions.shape == (6, 3)
+
+        def broken(points):
+            calls.append(len(points))
+            raise TypeError("a program error, not a degenerate patch")
+        monkeypatch.setattr(datasets, "Delaunay", broken)
+        calls.clear()
+        with pytest.raises(TypeError, match="program error"):
+            gs.generate_synthetic(spec)
+        assert len(calls) == 1
+
 
 class TestFeaturizer:
     def test_airfoil_widths(self):
@@ -395,6 +422,21 @@ class TestFeaturizer:
         assert feat.target_norm is None
         with pytest.raises(DatasetFormatError, match=with_target.graph_id):
             feat.transform(with_target)
+
+    @pytest.mark.parametrize("refit", ["fit", "fit_transform"])
+    def test_refit_without_targets_drops_the_zscore(self, refit):
+        with_targets = gs.generate_synthetic(gs.SyntheticSpec(
+            seed=1, count=3, min_nodes=5, max_nodes=8, family="chain"))
+        without = gs.generate_synthetic(gs.SyntheticSpec(
+            seed=2, count=3, min_nodes=5, max_nodes=8, family="chain"))
+        for rec in without:
+            rec.node_target = None
+        feat = gs.Featurizer("airfoil").fit(with_targets)
+        assert feat.target_norm is not None
+        getattr(feat, refit)(without)
+        assert feat.target_norm is None
+        with pytest.raises(DatasetFormatError, match=with_targets[0].graph_id):
+            feat.transform(with_targets[0])
 
 
 class TestFeaturizeOnce:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnnsurrogate.mlp import Mlp, MlpConfig, backward, forward_tape, he_init
-from conftest import mlp_forward
+from conftest import cast_mlp, mlp_forward
 
 
 def fd_gradient(f, arr, idx, step=1e-6):
@@ -93,6 +93,17 @@ class TestBackward:
         _, tape = forward_tape(mlp, np.array([[0.0]]))
         gx, _ = backward(mlp, tape, np.array([[1.0]]))
         np.testing.assert_allclose(gx, [[1.0]])
+
+    @pytest.mark.parametrize("act", ["linear", "relu", "sine"])
+    def test_computes_in_the_weights_dtype(self, act):
+        rng = np.random.default_rng(8)
+        mlp = cast_mlp(he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2,
+                                         output_activation=act), rng), np.float32)
+        y, tape = forward_tape(mlp, rng.normal(size=(6, 3)))     # float64 rows
+        arrays = [y, *tape[0], *tape[1]]
+        gx, grads = backward(mlp, tape, rng.normal(size=(6, 2)))  # a float64 gradient
+        arrays += [gx, *grads]
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
 
     def test_backward_without_tape_rejected(self):
         mlp = he_init(MlpConfig(input_size=1, depth=1, width=1, output_size=1), 0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import gnnsurrogate as gs
 from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.graph import merge_batch
-from conftest import mlp_forward, tiny_config, zero_final_layer
+from conftest import cast_mlp, featurized_samples, mlp_forward, tiny_config, zero_final_layer
 
 
 def make_featurized(rng, n=5, node_in=6, edge_in=3, with_chain=True):
@@ -550,7 +551,7 @@ def allocating_backward(m, tape, grad_node_out, grad_graph_out):
     lengths = np.array([length for _, length in segments])
     gv += np.repeat(gpooled / lengths[:, None], lengths, axis=0)
     grads.append(grads_dg)
-    send_mat = gnn._incidence(g.senders, g.num_nodes)
+    send_mat = gnn._incidence(g.senders, g.num_nodes, m.flat.dtype)
     for k in range(cfg.steps - 1, -1, -1):
         recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
         pe, pn = m.processor_edge[k], m.processor_node[k]
@@ -637,3 +638,82 @@ class TestSingleUseTape:
                            grad_graph_out=g_graph)
         assert got.shape == m.flat.shape
         np.testing.assert_array_equal(got, want)
+
+
+def cast_mlps(m, dtype):
+    """A model of m's config whose every MLP holds m's parameters cast to `dtype`."""
+    def cast(mlp):
+        return cast_mlp(mlp, dtype)
+    return gnn.GnnModel(
+        config=m.config, encoder_edge=cast(m.encoder_edge), encoder_node=cast(m.encoder_node),
+        processor_edge=[cast(p) for p in m.processor_edge],
+        processor_node=[cast(p) for p in m.processor_node],
+        decoder_graph=cast(m.decoder_graph),
+        decoder_node=None if m.decoder_node is None else cast(m.decoder_node))
+
+
+def floating_arrays(obj):
+    """Every floating ndarray or sparse matrix in nested lists and tuples."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from floating_arrays(item)
+    elif (isinstance(obj, np.ndarray) or sparse.issparse(obj)) \
+            and np.issubdtype(obj.dtype, np.floating):
+        yield obj
+
+
+class TestPrecisionFollowsParameters:
+    """A model computes in its parameters' dtype: with every MLP cast to
+    float32, nothing on the training path widens to float64."""
+
+    # Largest |float32 - float64| forward output over the largest float64
+    # output. Over 10 model seeds of these configs the worst seen was 6e-7 at
+    # frequency 0.5 and 1e-5 at 1.0; at 2.0 it reached 0.2, as float64 itself
+    # is chaotic there.
+    RTOL = 1e-4
+
+    @pytest.mark.parametrize("freq", [0.5, 1.0])
+    @pytest.mark.parametrize("family, node_out", [("chain", 1), ("patch3d", None)])
+    def test_float32_model_stays_float32(self, monkeypatch, family, node_out, freq):
+        from gnnsurrogate import training as tr
+        feat, samples = featurized_samples(3, 6, family=family, min_nodes=10, max_nodes=20)
+        batch = merge_batch([s.graph for s in samples])
+        cfg = tiny_config(node_in=feat.node_feature_width, edge_in=feat.edge_feature_width,
+                          latent=8, steps=3, depth=2, width=16, node_out=node_out,
+                          graph_out=3 if node_out else 1, sine_frequency=freq)
+        m64 = gnn.build_model(cfg, 5)
+        m = cast_mlps(m64, np.float32)
+        assert m.flat.dtype == np.float32
+
+        y_node, y_graph, tape = gnn.forward(m, batch)
+        outputs = [y_graph] if node_out is None else [y_node, y_graph]
+        predicted = [y for y in gnn.predict(m, batch) if y is not None]
+        want = [y for y in gnn.predict(m64, batch) if y is not None]
+        for y, p, w in zip(outputs, predicted, want):
+            assert y.dtype == p.dtype == np.float32
+            assert np.max(np.abs(p - w)) <= self.RTOL * np.max(np.abs(w))
+        taped = list(floating_arrays(tape))    # at least each MLP's pre-activations
+        assert len(taped) > len(m.mlps()) * (cfg.depth + 1)
+        assert all(a.dtype == np.float32 for a in taped)
+
+        adjoints, mlp_backward = [], nn.backward
+
+        def recording_backward(mlp, tape, grad_output, **kwargs):
+            grad_input, grads = mlp_backward(mlp, tape, grad_output, **kwargs)
+            adjoints.extend(g for g in (grad_output, grad_input) if g is not None)
+            return grad_input, grads
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        if node_out is None:
+            value, gpred = tr.mae_loss(y_graph, batch.graph_targets)
+            grad = gnn.backward(m, tape, grad_graph_out=gpred)
+        else:
+            value, gpred = tr.mae_loss(y_node, batch.graph.node_targets)
+            grad = gnn.backward(m, tape, grad_node_out=gpred)
+        reg, reg_grad = tr.l1_penalty(m.flat, 1e-3, m.offsets)
+        state = tr.AdamState.for_parameters(m.parameters())
+        before = m.flat.copy()
+        tr.adam_step(m.flat, grad + reg_grad, state, 1e-3)
+        assert len(adjoints) >= 2 * len(m.mlps()) - 2     # encoders: no input gradient
+        arrays = [value, gpred, *adjoints, grad, reg, reg_grad, state.m, state.v, m.flat]
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+        assert not np.array_equal(m.flat, before)

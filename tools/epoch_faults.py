@@ -38,6 +38,10 @@ def main(argv=None) -> int:
 
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
+    import gnnsurrogate
+    if not Path(gnnsurrogate.__file__).resolve().is_relative_to(root):
+        raise SystemExit(f"imported gnnsurrogate from {gnnsurrogate.__file__}, "
+                         f"not from {root}")
     import workloads
     from gnnsurrogate import training
 
