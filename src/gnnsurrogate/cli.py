@@ -184,10 +184,10 @@ def cmd_predict(args) -> int:
     if y_node is not None:
         phys = sample.to_physical_node(y_node)
         lines.append("node,prediction")
-        lines.extend(f"{i},{v!r}" for i, v in enumerate(phys[:, 0]))
+        lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(phys[:, 0]))
     else:
         lines.append("graph_output")
-        lines.extend(f"{v!r}" for v in y_graph[0])
+        lines.extend(f"{float(v)!r}" for v in y_graph[0])
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -419,8 +419,29 @@ class Featurizer:
         target = None if rec.node_target is None else rec.node_target.reshape(topo.num_nodes, -1)
         return topo, nf, encode_edges(topo), target
 
+    def _featurize(self, records, normalize: bool) -> list:
+        """Per record, `_encode`'s output, or with `normalize` its sample.
+
+        Finite positions can still overflow on the way, say to an infinite
+        edge length, and one infinite feature would make every prediction
+        NaN. Here numpy raises at the overflow instead, and the record is
+        refused with a DatasetFormatError naming it. The np.errstate is
+        entered once for all the records: entering one costs about as much
+        as encoding a small record."""
+        out = []
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for rec in records:
+                try:
+                    enc = self._encode(rec)
+                    out.append(self._normalize(rec, *enc) if normalize else enc)
+                except FloatingPointError as exc:
+                    raise DatasetFormatError(
+                        f"record {rec.graph_id}: features are not finite ({exc}; "
+                        f"a coordinate or value too large to encode)") from exc
+        return out
+
     def fit(self, records: list[GraphRecord]) -> "Featurizer":
-        return self._fit([self._encode(rec) for rec in records])
+        return self._fit(self._featurize(records, normalize=False))
 
     def _fit(self, encoded: list) -> "Featurizer":
         """Fit the normalizers on `_encode`'s outputs."""
@@ -434,12 +455,12 @@ class Featurizer:
     def fit_transform(self, records: list[GraphRecord]) -> list[Sample]:
         """`fit(records)`, then `transform_all(records)`, with the same bits,
         but each record validated, built and encoded once."""
-        encoded = [self._encode(rec) for rec in records]
+        encoded = self._featurize(records, normalize=False)
         self._fit(encoded)
         return [self._normalize(rec, *enc) for rec, enc in zip(records, encoded)]
 
     def transform(self, rec: GraphRecord) -> Sample:
-        return self._normalize(rec, *self._encode(rec))
+        return self._featurize([rec], normalize=True)[0]
 
     def _normalize(self, rec: GraphRecord, topo: Graph, nf, ef, target_phys) -> Sample:
         """The sample of `rec` from its `_encode` output and the fitted normalizers."""
@@ -471,7 +492,7 @@ class Featurizer:
                       featurizer=self)
 
     def transform_all(self, records) -> list[Sample]:
-        return [self.transform(r) for r in records]
+        return self._featurize(records, normalize=True)
 
     def invert_node_prediction(self, sample: Sample, pred_norm: np.ndarray) -> np.ndarray:
         pred_norm = np.asarray(pred_norm, dtype=np.float64)

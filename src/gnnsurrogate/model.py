@@ -282,7 +282,12 @@ def forward(model: GnnModel, graph_or_batch):
     node-level task is the internal pooled context, not a supervised output.
     The tape, for one `backward` to consume, is the stack of the stages'
     entries in the order they ran; a blockwise MLP's entry holds its blocks
-    (latent arrays, gather indices)."""
+    (latent arrays, gather indices).
+
+    An MLP call of 4096 rows or more runs in row ranges over the CPUs and,
+    from then on, holds every OpenBLAS in the process to one thread: all of
+    the process's later BLAS work, numpy's and scipy's included, runs on
+    one thread (`mlp._pin_blas_to_one_thread`); nothing undoes it."""
     tape = []
     y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
@@ -296,7 +301,8 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     RuntimeError. A blockwise MLP's backward stops at its first
     pre-activation gradient gz0; the sender and receiver sums of gz0 (one
     incidence matmul each) then give the first-layer weight blocks and the
-    node gradients."""
+    node gradients. As in `forward`, an MLP call of 4096 rows or more holds
+    the process's OpenBLAS to one thread for good."""
     cfg = model.config
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
@@ -355,5 +361,7 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
 
 def predict(model: GnnModel, graph_or_batch):
     """(node-level matrix or None, graph-level matrix (m, d_G)): the stages
-    of `forward` without a tape, so each MLP's tape is freed as it returns."""
+    of `forward` without a tape, so each MLP's tape is freed as it returns.
+    As in `forward`, an MLP call of 4096 rows or more holds the process's
+    OpenBLAS to one thread for good."""
     return _run_stages(model, graph_or_batch, None)

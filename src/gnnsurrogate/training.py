@@ -254,7 +254,9 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
 
     On entry, sets the process's glibc malloc policy once
     (`_keep_step_memory_in_heap`), so that each step's tape comes from the
-    heap and goes back to it; the policy stays after `fit` returns."""
+    heap and goes back to it; the policy stays after `fit` returns. A batch
+    with an MLP call of 4096 rows or more holds every OpenBLAS in the process
+    to one thread (see `model.forward`), which also stays."""
     if not graphs:
         raise ValueError("empty training set")
     if config.task != mdl.config.task:

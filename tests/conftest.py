@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,17 @@ def random_chain_graphs(rng, count, min_nodes=4, max_nodes=12, dim=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def run_python(script: str, *args, env=None) -> str:
+    """Run `script` in a fresh interpreter that imports this package and the
+    tests' modules, with `env` added to the environment; its stdout."""
+    path = os.pathsep.join([str(Path(gs.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
 
 
 def tiny_config(node_in=6, edge_in=3, latent=4, steps=2, depth=2, width=5,

@@ -129,6 +129,20 @@ class TestPredictInspect:
         assert lines[0] == "node,prediction"
         recs = gs.read_dataset(data)
         assert len(lines) == 1 + recs[0].positions.shape[0]
+        for i, line in enumerate(lines[1:]):
+            index, value = line.split(",")
+            assert int(index) == i and np.isfinite(float(value))
+
+    def test_predict_graph_csv(self, workspace, capsys):
+        tmp_path, _, data = workspace
+        cfg = tmp_path / "train_g.ini"
+        cfg.write_text(TRAIN_INI.replace("task = node_level", "task = graph_level")
+                       .replace("graph_output_size = 3", "graph_output_size = 1"))
+        out = train(tmp_path, cfg, data, "g.ckpt")
+        capsys.readouterr()
+        assert cli_main(["predict", "--ckpt", str(out), "--data", str(data)]) == 0
+        header, value = capsys.readouterr().out.strip().splitlines()
+        assert header == "graph_output" and np.isfinite(float(value))
 
     def test_predict_bad_index_fails(self, workspace):
         tmp_path, train_cfg, data = workspace
@@ -293,6 +307,25 @@ class TestBadRecords:
         capsys.readouterr()
         assert cli_main(["eval", "--ckpt", str(out), "--data", str(bad_data)]) == 2
         assert capsys.readouterr().err == f"error: graph {bad.graph_id}: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_positions_exit_2(self, workspace, capsys):
+        # finite positions whose edge displacement and length overflow
+        tmp_path, train_cfg, data = workspace
+        out = train(tmp_path, train_cfg, data)
+        recs = gs.read_dataset(data)
+        bad = recs[2]
+        bad.positions[:2, 0] = [1e308, -1e308]
+        bad_data = tmp_path / "bad.jsonl"
+        gs.write_dataset(recs, bad_data)
+        message = (f"error: record {bad.graph_id}: features are not finite (overflow "
+                   f"encountered in subtract; a coordinate or value too large to encode)\n")
+        for argv in (["eval", "--ckpt", str(out)], ["predict", "--ckpt", str(out), "--index", "2"],
+                     ["train", "--config", str(train_cfg), "--out", str(tmp_path / "bad.ckpt")]):
+            capsys.readouterr()
+            assert cli_main([*argv, "--data", str(bad_data)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == message and captured.out == ""
 
     def test_string_upper_flags_exit_2(self, workspace, capsys):
         tmp_path, train_cfg, data = workspace

@@ -94,6 +94,17 @@ class TestRecordValidation:
             with pytest.raises(DatasetFormatError, match=f"{rec.graph_id}.*{field}"):
                 feat.transform(rec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_features_that_overflow_rejected_naming_record(self):
+        recs = self.records()
+        feat = gs.Featurizer("airfoil").fit(recs)
+        recs[1].positions[:2, 0] = [1e308, -1e308]     # finite, but not their difference
+        message = f"^record {recs[1].graph_id}: features are not finite"
+        for call in (feat.transform, lambda rec: gs.Featurizer("airfoil").fit([recs[0], rec]),
+                     lambda rec: gs.Featurizer("airfoil").fit_transform([recs[0], rec])):
+            with pytest.raises(DatasetFormatError, match=message):
+                call(recs[1])
+
     @pytest.mark.parametrize("rows", [-1, 1])
     def test_node_target_row_count_must_match(self, rows):
         recs = self.records()

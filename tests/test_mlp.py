@@ -1,8 +1,12 @@
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
+from gnnsurrogate import mlp as nn
 from gnnsurrogate.mlp import Mlp, MlpConfig, backward, forward_tape, he_init
-from conftest import cast_mlp, mlp_forward
+from conftest import cast_mlp, mlp_forward, run_python
 
 
 def fd_gradient(f, arr, idx, step=1e-6):
@@ -272,3 +276,110 @@ class TestSingleUseTape:
         assert np.isnan(out[0]).all()
         for got, want in zip(out[1:], grads_ref[1:]):
             np.testing.assert_array_equal(got, want)
+
+
+def forward_backward(mlp, x, g_out, first_product):
+    """(output, input gradient, parameter gradients) of one call on rows `x`."""
+    if first_product:
+        y, tape = forward_tape(mlp, None, z0=x @ mlp.weights[0])
+    else:
+        y, tape = forward_tape(mlp, x)
+    y = y.copy()
+    gx, grads = backward(mlp, tape, g_out)
+    return y, gx, grads
+
+
+ROWS = 1536
+ACTIVATIONS = ("linear", "relu", "sine")
+
+
+def row_range_case(act):
+    rng = np.random.default_rng(12)
+    mlp = he_init(MlpConfig(input_size=7, depth=3, width=32, output_size=5,
+                            output_activation=act, sine_frequency=0.7), rng)
+    for b in mlp.biases:
+        b[:] = rng.normal(size=b.shape)
+    return mlp, rng.normal(size=(ROWS, 7)), rng.normal(size=(ROWS, 5))
+
+
+def row_range_runs() -> dict:
+    """Per (output activation, tape from `z0`): `forward_backward` of a
+    1536-row call split into three ranges ("split"), of its 384-row pieces
+    ("pieces") and of the call run whole on one worker ("whole"); empty where
+    no OpenBLAS can be held to one thread, so nothing splits. Three ranges
+    of at least 512 rows whatever the CPU count, with frequent thread
+    switches. A split pins OpenBLAS for the rest of the process, so this
+    runs in a child interpreter (`ROW_RANGE_SCRIPT`)."""
+    if not nn._pin_blas_to_one_thread():
+        return {}
+    nn._MIN_RANGE_ROWS = 512
+    sys.setswitchinterval(1e-6)
+    runs = {}
+    for act in ACTIVATIONS:
+        for first_product in (False, True):
+            mlp, x, g_out = row_range_case(act)
+            nn._WORKERS = 3
+            assert len(nn._row_ranges(ROWS)) == 3
+            split = forward_backward(mlp, x, g_out, first_product)
+            pieces = [forward_backward(mlp, x[lo:lo + 384], g_out[lo:lo + 384], first_product)
+                      for lo in range(0, ROWS, 384)]
+            nn._WORKERS = 1
+            assert nn._row_ranges(ROWS) == (slice(None),)
+            whole = forward_backward(mlp, x, g_out, first_product)
+            runs[act, first_product] = {"split": split, "pieces": pieces, "whole": whole}
+    return runs
+
+
+ROW_RANGE_SCRIPT = """
+import pickle, sys
+from test_mlp import row_range_runs
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(row_range_runs(), fh)
+"""
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("row_ranges") / "runs.pickle"
+    run_python(ROW_RANGE_SCRIPT, path)
+    runs = pickle.loads(path.read_bytes())
+    if not runs:
+        pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
+    return runs
+
+
+class TestRowRanges:
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    @pytest.mark.parametrize("first_product", [False, True])
+    def test_rows_equal_sub_range_calls(self, runs, act, first_product):
+        run = runs[act, first_product]
+        y, gx, _ = run["split"]
+        np.testing.assert_array_equal(y, np.concatenate([p[0] for p in run["pieces"]]))
+        np.testing.assert_array_equal(gx, np.concatenate([p[1] for p in run["pieces"]]))
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    @pytest.mark.parametrize("first_product", [False, True])
+    def test_everything_equals_the_unsplit_call(self, runs, act, first_product):
+        split, whole = runs[act, first_product]["split"], runs[act, first_product]["whole"]
+        np.testing.assert_array_equal(split[0], whole[0])
+        np.testing.assert_array_equal(split[1], whole[1])
+        for a, b in zip(split[2], whole[2]):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_small_calls_and_one_cpu_never_pin(self, monkeypatch):
+        pins = []
+        monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: pins.append(1) or True)
+        monkeypatch.setattr(nn, "_MIN_RANGE_ROWS", 512)
+        monkeypatch.setattr(nn, "_WORKERS", 4)
+        assert nn._row_ranges(1023) == (slice(None),)
+        monkeypatch.setattr(nn, "_WORKERS", 1)
+        assert nn._row_ranges(10 ** 6) == (slice(None),)
+        assert pins == []
+        monkeypatch.setattr(nn, "_WORKERS", 4)
+        assert nn._row_ranges(1500) == (slice(0, 750), slice(750, 1500))
+        assert nn._row_ranges(4096) == (slice(0, 1024), slice(1024, 2048),
+                                        slice(2048, 3072), slice(3072, 4096))
+        assert pins == [1, 1]
+        # a BLAS whose threads cannot be held to one: calls run whole
+        monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: False)
+        assert nn._row_ranges(4096) == (slice(None),)

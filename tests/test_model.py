@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ import gnnsurrogate as gs
 from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.graph import merge_batch
-from conftest import cast_mlp, featurized_samples, mlp_forward, tiny_config, zero_final_layer
+from conftest import (cast_mlp, featurized_samples, mlp_forward, run_python, tiny_config,
+                      zero_final_layer)
 
 
 def make_featurized(rng, n=5, node_in=6, edge_in=3, with_chain=True):
@@ -717,3 +720,47 @@ class TestPrecisionFollowsParameters:
         arrays = [value, gpred, *adjoints, grad, reg, reg_grad, state.m, state.v, m.flat]
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
         assert not np.array_equal(m.flat, before)
+
+
+# After a split the parent holds an idle row-range pool; a forked child has
+# none of its threads, so it must make its own or wait forever. A split pins
+# OpenBLAS for the rest of the process, so the parent is a child interpreter.
+FORK_SCRIPT = """
+import multiprocessing
+import numpy as np
+from gnnsurrogate import mlp as nn
+from gnnsurrogate import model as gnn
+from conftest import featurized_samples, tiny_config
+
+if not nn._pin_blas_to_one_thread():
+    raise SystemExit(print("unpinned"))
+nn._WORKERS, nn._MIN_RANGE_ROWS = max(nn._WORKERS, 2), 512
+feat, samples = featurized_samples(3, 1, min_nodes=240, max_nodes=250, family="patch3d")
+graph = samples[0].graph
+assert graph.num_edges >= 1024
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width, node_out=None), 0)
+expected = gnn.predict(m, graph)[1]
+assert nn._pool is not None
+ctx = multiprocessing.get_context("fork")
+receiver, sender = ctx.Pipe(duplex=False)
+child = ctx.Process(target=lambda: sender.send(gnn.predict(m, graph)[1]))
+child.start()
+try:
+    if not receiver.poll(60):
+        print("the forked child's prediction did not finish in 60 s")
+    else:
+        print("same" if np.array_equal(receiver.recv(), expected) else "differs")
+finally:
+    child.kill()
+    child.join()
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_forked_child_predicts_after_the_parent_split():
+    printed = run_python(FORK_SCRIPT).strip()
+    if printed == "unpinned":
+        pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
+    assert printed == "same"

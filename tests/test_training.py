@@ -1,20 +1,17 @@
 import copy
 import ctypes
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gnnsurrogate as gs
+from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate import training as tr
 from gnnsurrogate.graph import merge_batch
-from conftest import featurized_samples, tiny_config
+from conftest import featurized_samples, run_python, tiny_config
 
 
 class TestLoss:
@@ -320,15 +317,6 @@ class TestFlatOptimizerMatchesPerArrayLoop:
 
 
 GLIBC = platform.system() == "Linux" and platform.libc_ver()[0] == "glibc"
-SRC = str(Path(gs.__file__).resolve().parents[1])
-
-
-def run_python(script: str, *args) -> str:
-    """Run `script` in a fresh interpreter that imports this package; its stdout."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
-                          capture_output=True, text=True, check=True)
-    return proc.stdout
 
 
 class FakeMallopt:
@@ -464,3 +452,34 @@ def test_heap_policy_leaves_training_bits_unchanged(tmp_path):
     for name in ("losses", "flat", "m", "v"):
         assert on[name].tobytes() == off[name].tobytes(), name
     assert (tmp_path / "on.ckpt").read_bytes() == (tmp_path / "off.ckpt").read_bytes()
+
+
+# A batch of ~10k edge rows of width 32: its edge MLP calls split into row
+# ranges, and its weight gradients reduce over all the rows, which OpenBLAS
+# sums differently at 1 and 2 threads unless it is held to one.
+THREADS_TRAIN_SCRIPT = """
+import sys
+from gnnsurrogate import checkpoint, datasets, training
+from gnnsurrogate import model as gnn
+
+recs = datasets.generate_synthetic(datasets.SyntheticSpec(
+    seed=3, count=8, min_nodes=150, max_nodes=250, family="patch3d"))
+feat = datasets.Featurizer("feature_design")
+graphs = [s.graph for s in feat.fit_transform(recs)]
+mdl = gnn.build_model(gnn.GnnConfig(
+    node_input_size=feat.node_feature_width, edge_input_size=feat.edge_feature_width,
+    latent_size=32, steps=2, depth=2, width=32, graph_output_size=1), 0)
+training.fit(mdl, graphs, training.TrainConfig(epochs=2, batch_size=8, task="graph_level"))
+checkpoint.save_checkpoint(mdl, feat, sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(nn._WORKERS < 2, reason="MLP calls split into row ranges only "
+                                            "with two usable CPUs")
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    saved = {}
+    for threads in ("1", "2"):
+        path = tmp_path / f"{threads}.ckpt"
+        run_python(THREADS_TRAIN_SCRIPT, path, env={"OPENBLAS_NUM_THREADS": threads})
+        saved[threads] = path.read_bytes()
+    assert saved["1"] == saved["2"]

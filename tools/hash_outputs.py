@@ -19,9 +19,12 @@ and, for each encoding E, `cli/E/...`: `gnnsurrogate gen`, a 2-epoch `train`
 and a 1-epoch `train --resume` on a small INI: both checkpoints' bytes and
 both logs without `wall_time`.
 
-Float64 training results depend on the OpenBLAS thread count, so compare
-trees run under the same environment. Standard library only, besides the
-tree's own code and numpy.
+A tree that splits big MLP calls into row ranges holds OpenBLAS to one
+thread from its first split on, so its hashes do not depend on
+`OPENBLAS_NUM_THREADS`; an older tree's mesh training hashes do, and match
+only when run at `OPENBLAS_NUM_THREADS=1`. Bits across CPU models are not
+promised either way (OpenBLAS picks its kernels per CPU). Standard library
+only, besides the tree's own code and numpy.
 """
 
 from __future__ import annotations
