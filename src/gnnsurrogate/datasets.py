@@ -124,7 +124,10 @@ def _floats_from_json(values, name: str) -> np.ndarray:
     """A float64 array of JSON numbers. numpy would read JSON booleans as 1.0
     and 0.0 (and numeric strings as numbers), so the scalars' types are
     checked first, all at once."""
-    array = np.asarray(values, dtype=np.float64)
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float64") from None
     scalars = [values]
     for _ in range(array.ndim):
         scalars = chain.from_iterable(scalars)
@@ -444,12 +447,21 @@ class Featurizer:
         return self._fit(self._featurize(records, normalize=False))
 
     def _fit(self, encoded: list) -> "Featurizer":
-        """Fit the normalizers on `_encode`'s outputs."""
-        self.node_norm.fit(*(nf for _, nf, _, _ in encoded))
-        self.edge_norm.fit(*(ef for _, _, ef, _ in encoded))
+        """Fit the normalizers on `_encode`'s outputs. Finite features can
+        still overflow a mean or a variance; numpy raises there, and the
+        normalizer is named in a DatasetFormatError."""
         targets = [t for *_, t in encoded if t is not None]
-        self.target_norm = (Normalizer().fit(*targets)
-                            if self.node_target_mode == "zscore" and targets else None)
+        zscore = self.node_target_mode == "zscore" and targets
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                name = "node features"
+                self.node_norm.fit(*(nf for _, nf, _, _ in encoded))
+                name = "edge features"
+                self.edge_norm.fit(*(ef for _, _, ef, _ in encoded))
+                name = "node targets"
+                self.target_norm = Normalizer().fit(*targets) if zscore else None
+            except FloatingPointError as exc:
+                raise DatasetFormatError(f"{name} too large to normalize ({exc})") from exc
         return self
 
     def fit_transform(self, records: list[GraphRecord]) -> list[Sample]:

@@ -50,7 +50,7 @@ class AirfoilEncoding:
             # bool is a numbers.Real, so (True, False) would pass as (1, 0)
             ok = len(fs) == 2 and all(isinstance(c, numbers.Real) and not isinstance(c, bool)
                                       and math.isfinite(c) for c in fs)
-        except TypeError:
+        except (TypeError, OverflowError):     # a JSON integer past float range
             ok = False
         if not ok:
             raise ValueError(f"freestream must be two finite numbers (u0, v0), got {fs!r}")

@@ -239,33 +239,3 @@ def extract_segment(batch: BatchedGraph, k: int) -> Graph:
         node_targets=sl(g.node_targets),
         graph_target=graph_target,
     )
-
-
-def validate(graph: Graph) -> list[str]:
-    """Check Graph invariants; returns a list of violation messages."""
-    violations = []
-    n = graph.num_nodes
-    edges = graph.edges
-    for row, (s, r) in enumerate(edges):
-        if not (0 <= s < n) or not (0 <= r < n):
-            violations.append(f"edge {row}: index ({s}, {r}) out of range [0, {n})")
-        elif s == r:
-            violations.append(f"edge {row}: self-loop at node {s}")
-    seen = set()
-    pairs = set(map(tuple, edges.tolist()))
-    for row, (s, r) in enumerate(edges.tolist()):
-        if (s, r) in seen:
-            violations.append(f"edge {row}: duplicate directed edge ({s}, {r})")
-        seen.add((s, r))
-        if s != r and (r, s) not in pairs:
-            violations.append(f"edge {row}: missing reverse edge ({r}, {s})")
-    if graph.node_features is not None and graph.node_features.shape[0] != n:
-        violations.append(
-            f"node_features has {graph.node_features.shape[0]} rows, expected {n}")
-    if graph.edge_features is not None and graph.edge_features.shape[0] != len(edges):
-        violations.append(
-            f"edge_features has {graph.edge_features.shape[0]} rows, expected {len(edges)}")
-    if graph.node_targets is not None and graph.node_targets.shape[0] != n:
-        violations.append(
-            f"node_targets has {graph.node_targets.shape[0]} rows, expected {n}")
-    return violations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import wait
@@ -60,12 +61,13 @@ def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
 
 
 # A call with at least 2 * _MIN_RANGE_ROWS rows runs its row-independent
-# work (products, bias, sine chain) as contiguous row ranges, one per usable
-# CPU, at most one per _MIN_RANGE_ROWS rows. The hidden sine and cosine are
-# glibc's scalar routines, so more cores are the one way to make float64
-# trig faster without changing its bits. A training batch of meshes (tens of
-# thousands of edge rows) gains; a single mesh's predict (up to ~1,900 edge
-# rows) did not, and its slowest calls got slower, so such calls run whole.
+# work (products, bias, sine chain) in contiguous chunks of at least
+# _MIN_RANGE_ROWS rows, which the calling thread and the pool's workers take
+# from one queue (`_in_ranges`). The hidden sine and cosine are glibc's
+# scalar routines, so more cores are the one way to make float64 trig faster
+# without changing its bits. A training batch of meshes (tens of thousands
+# of edge rows) gains; a single mesh's predict (up to ~1,900 edge rows) did
+# not, and its slowest calls got slower, so such calls run whole.
 _MIN_RANGE_ROWS = 2048
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -125,24 +127,44 @@ _WHOLE = (slice(None),)
 
 
 def _row_ranges(rows: int) -> tuple[slice, ...]:
-    """The contiguous row ranges a call of `rows` rows runs in; one whole
-    range below the size threshold, on one CPU, or where the BLAS cannot be
-    held to one thread (its threads would contend with the ranges'). The
-    first split pins the BLAS (`_pin_blas_to_one_thread`)."""
+    """The contiguous row chunks a call of `rows` rows runs in: as many as
+    fit with at least _MIN_RANGE_ROWS rows each, whatever the CPU count. One
+    whole range below 2 * _MIN_RANGE_ROWS rows, on one CPU, or where the BLAS
+    cannot be held to one thread (its threads would contend with the
+    chunks'). The first split pins the BLAS (`_pin_blas_to_one_thread`)."""
     if rows < 2 * _MIN_RANGE_ROWS or _WORKERS < 2 or not _pin_blas_to_one_thread():
         return _WHOLE
-    parts = min(_WORKERS, rows // _MIN_RANGE_ROWS)
+    parts = rows // _MIN_RANGE_ROWS
     bounds = [rows * i // parts for i in range(parts + 1)]
     return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
-def _in_ranges(task, ranges: tuple[slice, ...], *arrays):
-    """task(*(a[r] for a in arrays)) for every range r, the first on the
-    calling thread and the others on the pool (made here, at the first
-    split); returns when all have run. One range runs task(*arrays)."""
+def _in_ranges(task, ranges: tuple[slice, ...], *arrays, beside=()):
+    """Every `beside` task, called with no arguments, and task(*(a[r] for a
+    in arrays)) for every range r; returns when all have run. The jobs, the
+    `beside` ones first, form one queue that the calling thread and up to
+    _WORKERS - 1 pool workers (the pool is made here, at the first split)
+    take in order. Once a job raises, no further job starts, and the first
+    exception is raised after every started job has finished. One range
+    runs the `beside` tasks and then task(*arrays) on the calling thread."""
     global _pool
     if len(ranges) == 1:
+        for job in beside:
+            job()
         return task(*arrays)
+    jobs = [*beside, *(functools.partial(task, *(a[r] for a in arrays)) for r in ranges)]
+    taken, failed = itertools.count(), []     # next() on a count is atomic
+
+    def run():
+        for i in taken:
+            if i >= len(jobs) or failed:
+                return
+            try:
+                jobs[i]()
+            except BaseException as exc:
+                failed.append(exc)
+                return
+
     with _pool_lock:
         if _pool is None:
             # imported here, so that a process that never splits (a chain
@@ -150,13 +172,11 @@ def _in_ranges(task, ranges: tuple[slice, ...], *arrays):
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
                                        thread_name_prefix="mlp-rows")
-    futures = [_pool.submit(task, *(a[r] for a in arrays)) for r in ranges[1:]]
-    try:
-        task(*(a[ranges[0]] for a in arrays))
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+        futures = [_pool.submit(run) for _ in range(min(_WORKERS, len(jobs)) - 1)]
+    run()
+    wait(futures)           # run() keeps every exception in `failed`, none in a future
+    if failed:
+        raise failed[0]
 
 
 def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
@@ -168,8 +188,9 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
     x @ W0 itself (the graph model does so block by block) passes it as `z0`,
     which this function adds the bias to in place; `x` is then not used and
     hs[0] is None. Every array takes the weights' dtype; `x` is cast to it.
-    A call of at least 2 * 2048 rows runs in row ranges (`_row_ranges`),
-    each through every layer, with the bits of the whole call.
+    A call of at least 2 * 2048 rows runs in row chunks (`_row_ranges`),
+    each through every layer as one job of `_in_ranges`'s queue, with the
+    bits of the whole call.
     """
     cfg = mlp.config
     if z0 is None:
@@ -206,7 +227,7 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
 
 def _forward_in_ranges(mlp: Mlp, x, z0, ranges):
     """`forward_tape` with every layer's arrays made whole first and each
-    row range run through all layers by one task."""
+    row chunk run through all layers by one task."""
     cfg = mlp.config
     w0, last = cfg.sine_frequency, len(mlp.weights) - 1
     rows = len(x if z0 is None else z0)
@@ -234,6 +255,13 @@ def _forward_in_ranges(mlp: Mlp, x, z0, ranges):
     return hs[-1], (hs, zs)
 
 
+def _cos_chain(z, g, w0):
+    """z <- w0 * cos(z) * g, in place."""
+    np.cos(z, out=z)
+    z *= w0
+    z *= g
+
+
 def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
              out: list | None = None):
     """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]),
@@ -244,53 +272,52 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
     the weights' dtype) are only read. With `input_grad` False the input
     gradient is None. For a tape recorded from `z0`, the first element is the
     gradient wrt the first pre-activation and gW0 is left to the caller.
-    A call of at least 2 * 2048 rows runs its cosine chains and input-gradient
-    products in row ranges (`_row_ranges`); the weight-gradient products and
-    bias sums run whole."""
+    A call of at least 2 * 2048 rows runs each layer's input-gradient product
+    and the cosine chain of the layer below in row chunks (`_row_ranges`);
+    the layer's weight-gradient product and bias sum run whole, as one job
+    beside those chunks (`_in_ranges`), so every sum over rows keeps the
+    order of the unsplit call."""
     if tape is None or len(tape[1]) != len(mlp.weights):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
     cfg = mlp.config
     w0 = cfg.sine_frequency
     g = np.atleast_2d(np.asarray(grad_output, dtype=mlp.weights[0].dtype))
-    last = len(mlp.weights) - 1
     param_grads = [None] * (2 * len(mlp.weights)) if out is None else out
     hs.pop()                                # the output
     ranges = _row_ranges(len(g))
+    whole = len(ranges) == 1
+
+    def weight_grads(k, h, gz):             # layer k's, over every row at once
+        param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
+        if h is not None:
+            param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
 
     z = zs.pop()
     if cfg.output_activation == "sine":
-        def task(z, g):                     # z <- w0 * cos(z) * g, in place
-            np.cos(z, out=z)
-            z *= w0
-            z *= g
-
-        _in_ranges(task, ranges, z, g)
+        _in_ranges(functools.partial(_cos_chain, w0=w0), ranges, z, g)
         gz = z
     elif cfg.output_activation == "relu":
         gz = g * (z > 0.0)
     else:
         gz = g
-    for k in range(last, -1, -1):
-        h, wt = hs.pop(), mlp.weights[k].T
-        param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
-        if h is None:
-            return gz, param_grads
-        param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
-        if k == 0:
-            break
-        z = zs.pop()
-
-        def task(gz, h, z):                 # hs[k] is dead once gW is formed
-            g = np.matmul(gz, wt, out=h)
-            np.cos(z, out=z)
-            z *= w0
-            z *= g
-
-        _in_ranges(task, ranges, gz, h, z)
+    for k in range(len(mlp.weights) - 1, 0, -1):
+        h, wt, z = hs.pop(), mlp.weights[k].T, zs.pop()
+        if whole:                           # hs[k] is dead once gW is formed
+            weight_grads(k, h, gz)
+            _cos_chain(z, np.matmul(gz, wt, out=h), w0)
+        else:                               # gW still reads hs[k]: chunk-sized products
+            _in_ranges(lambda gz, z: _cos_chain(z, gz @ wt, w0), ranges, gz, z,
+                       beside=(lambda: weight_grads(k, h, gz),))
         gz = z
-    if not input_grad:
-        return None, param_grads
+    h, wt = hs.pop(), mlp.weights[0].T
+    if h is None or not input_grad:
+        weight_grads(0, h, gz)
+        return gz if h is None else None, param_grads
+    if whole:
+        weight_grads(0, h, gz)
+        return gz @ wt, param_grads
     gx = np.empty((len(gz), wt.shape[1]), gz.dtype)     # wrt the caller's x
-    _in_ranges(lambda gz, gx: np.matmul(gz, wt, out=gx), ranges, gz, gx)
+    _in_ranges(lambda gz, gx: np.matmul(gz, wt, out=gx), ranges, gz, gx,
+               beside=(lambda: weight_grads(0, h, gz),))
     return gx, param_grads

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,10 +122,6 @@ class GnnModel:
                              f"{shapes[i]}, expected {self.shapes[i]}")
         return np.concatenate([np.ravel(a) for a in values])
 
-    def set_parameters(self, values: list[np.ndarray]):
-        """Copy one array per parameter into `flat`; the views stay bound."""
-        self.flat[:] = self.flatten(values)
-
 
 def build_model(config: GnnConfig, seed) -> GnnModel:
     rng = np.random.default_rng(seed)
@@ -169,7 +166,13 @@ def _first_layer(w: np.ndarray, blocks) -> np.ndarray:
     A block is (array, rows) and stands for array[rows], or for the array
     itself when rows is None. Each block meets its own rows of w before any
     gather, so a node-side block costs a product over nodes, not edges.
+    An output of split size (`mlp._row_ranges`) is formed in row chunks
+    (`_first_layer_in_ranges`).
     """
+    x, rows = blocks[0]
+    ranges = nn._row_ranges(len(x) if rows is None else len(rows))
+    if len(ranges) > 1:
+        return _first_layer_in_ranges(w, blocks, ranges)
     z, lo = None, 0
     for x, rows in blocks:
         hi = lo + x.shape[1]
@@ -184,18 +187,49 @@ def _first_layer(w: np.ndarray, blocks) -> np.ndarray:
     return z
 
 
+def _first_layer_in_ranges(w: np.ndarray, blocks, ranges) -> np.ndarray:
+    """`_first_layer` with the node-side products run first, over nodes, and
+    then each row chunk's rows added up block by block in the same order,
+    so that they have the bits of the unsplit sum."""
+    bounds = [0, *itertools.accumulate(x.shape[1] for x, _ in blocks)]
+    wbs = [w[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sides = [None if rows is None else x @ wb for (x, rows), wb in zip(blocks, wbs)]
+
+    def chunk(z, *parts):       # per block: its rows of x, or of the gather indices
+        for i, (part, side, wb) in enumerate(zip(parts, sides, wbs)):
+            first = z if i == 0 else None
+            p = (np.matmul(part, wb, out=first) if side is None
+                 else np.take(side, part, axis=0, out=first))
+            if i:
+                z += p
+
+    z = np.empty((ranges[-1].stop, w.shape[1]), np.result_type(blocks[0][0], w))
+    nn._in_ranges(chunk, ranges, z, *(x if rows is None else rows for x, rows in blocks))
+    return z
+
+
 def _first_layer_adjoint(w: np.ndarray, blocks, sums, gw: np.ndarray):
     """Adjoint of `_first_layer`.
 
     sums[i] is the pre-activation gradient summed onto the rows of block i's
     array (the gradient itself for a block with rows None). Writes the
-    gradient wrt w into `gw`; returns the gradient wrt each block's array."""
+    gradient wrt w into `gw`; returns the gradient wrt each block's array.
+    A block of split size runs g @ w.T in row chunks and its x.T @ g whole,
+    beside them (`mlp._in_ranges`)."""
     gxs, lo = [], 0
     for (x, _), g in zip(blocks, sums):
         hi = lo + x.shape[1]
-        np.matmul(x.T, g, out=gw[lo:hi])
-        gxs.append(g @ w[lo:hi].T)
+        wb, gwb = w[lo:hi], gw[lo:hi]
         lo = hi
+        ranges = nn._row_ranges(len(g))
+        if len(ranges) == 1:
+            np.matmul(x.T, g, out=gwb)
+            gxs.append(g @ wb.T)
+            continue
+        gx = np.empty((len(g), wb.shape[0]), np.result_type(g, wb))
+        nn._in_ranges(lambda g, gx: np.matmul(g, wb.T, out=gx), ranges, g, gx,
+                      beside=(lambda: np.matmul(x.T, g, out=gwb),))
+        gxs.append(gx)
     return gxs
 
 
@@ -284,10 +318,11 @@ def forward(model: GnnModel, graph_or_batch):
     entries in the order they ran; a blockwise MLP's entry holds its blocks
     (latent arrays, gather indices).
 
-    An MLP call of 4096 rows or more runs in row ranges over the CPUs and,
-    from then on, holds every OpenBLAS in the process to one thread: all of
-    the process's later BLAS work, numpy's and scipy's included, runs on
-    one thread (`mlp._pin_blas_to_one_thread`); nothing undoes it."""
+    An MLP call of 4096 rows or more, and a blockwise first layer with that
+    many output rows, runs in row chunks over the CPUs (`mlp._in_ranges`)
+    and, from then on, holds every OpenBLAS in the process to one thread:
+    all of the process's later BLAS work, numpy's and scipy's included, runs
+    on one thread (`mlp._pin_blas_to_one_thread`); nothing undoes it."""
     tape = []
     y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
@@ -301,8 +336,11 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     RuntimeError. A blockwise MLP's backward stops at its first
     pre-activation gradient gz0; the sender and receiver sums of gz0 (one
     incidence matmul each) then give the first-layer weight blocks and the
-    node gradients. As in `forward`, an MLP call of 4096 rows or more holds
-    the process's OpenBLAS to one thread for good."""
+    node gradients. An MLP call or first-layer block of 4096 rows or more
+    runs its row-wise products and cosine chains in row chunks, with its
+    weight-gradient product, bias sum or x.T @ g as one whole job beside
+    them, so no sum over rows changes order; as in `forward`, it holds the
+    process's OpenBLAS to one thread for good."""
     cfg = model.config
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")

@@ -38,12 +38,13 @@ def rng():
 
 def run_python(script: str, *args, env=None) -> str:
     """Run `script` in a fresh interpreter that imports this package and the
-    tests' modules, with `env` added to the environment; its stdout."""
+    tests' modules, with `env` added to the environment; its stdout. A child
+    that hangs (a wedged thread pool, say) fails after ten minutes."""
     path = os.pathsep.join([str(Path(gs.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
     env = {**os.environ, "PYTHONPATH": path, **(env or {})}
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, timeout=600)
     return proc.stdout
 
 
@@ -64,6 +65,42 @@ def cast_mlp(mlp, dtype):
     """An MLP of mlp's config holding its parameters cast to `dtype`."""
     return Mlp(mlp.config, [w.astype(dtype) for w in mlp.weights],
                [b.astype(dtype) for b in mlp.biases])
+
+
+def set_parameters(model, values):
+    """Copy one array per parameter into `model.flat`; the views stay bound."""
+    model.flat[:] = model.flatten(values)
+
+
+def validate(graph) -> list[str]:
+    """Check a Graph's invariants; returns a list of violation messages.
+    An O(E) Python loop, for tests only."""
+    violations = []
+    n = graph.num_nodes
+    edges = graph.edges
+    for row, (s, r) in enumerate(edges):
+        if not (0 <= s < n) or not (0 <= r < n):
+            violations.append(f"edge {row}: index ({s}, {r}) out of range [0, {n})")
+        elif s == r:
+            violations.append(f"edge {row}: self-loop at node {s}")
+    seen = set()
+    pairs = set(map(tuple, edges.tolist()))
+    for row, (s, r) in enumerate(edges.tolist()):
+        if (s, r) in seen:
+            violations.append(f"edge {row}: duplicate directed edge ({s}, {r})")
+        seen.add((s, r))
+        if s != r and (r, s) not in pairs:
+            violations.append(f"edge {row}: missing reverse edge ({r}, {s})")
+    if graph.node_features is not None and graph.node_features.shape[0] != n:
+        violations.append(
+            f"node_features has {graph.node_features.shape[0]} rows, expected {n}")
+    if graph.edge_features is not None and graph.edge_features.shape[0] != len(edges):
+        violations.append(
+            f"edge_features has {graph.edge_features.shape[0]} rows, expected {len(edges)}")
+    if graph.node_targets is not None and graph.node_targets.shape[0] != n:
+        violations.append(
+            f"node_targets has {graph.node_targets.shape[0]} rows, expected {n}")
+    return violations
 
 
 def zero_final_layer(mlp):

@@ -14,7 +14,8 @@ from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
 from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, SeligParseError,
                                    chain_target, patch_target, record_from_selig)
 from gnnsurrogate.training import AdamState, PlateauSchedule
-from conftest import count_featurizing, edit_resume_meta, featurized_samples, tiny_config
+from conftest import (count_featurizing, edit_resume_meta, featurized_samples, tiny_config,
+                      validate)
 
 
 class TestDatasetRoundTrip:
@@ -50,7 +51,7 @@ class TestDatasetRoundTrip:
             recs = gs.generate_synthetic(gs.SyntheticSpec(seed=5, count=3, min_nodes=6,
                                                           max_nodes=10, family=family))
             for r in recs:
-                assert gs.validate(r.build_topology()) == []
+                assert validate(r.build_topology()) == []
 
     def test_header_only_file_has_no_records(self, tmp_path):
         gs.write_dataset([], tmp_path / "empty.jsonl")
@@ -321,7 +322,7 @@ class TestParseSelig:
     def test_record_builds_valid_chain(self):
         rec = record_from_selig(SELIG_SAMPLE, freestream=(0.8, 0.1))
         g = rec.build_topology()
-        assert gs.validate(g) == []
+        assert validate(g) == []
         assert g.num_edges == 2 * (5 - 1)
 
 

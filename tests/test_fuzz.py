@@ -1,0 +1,191 @@
+"""Boundary fuzz of the dataset JSONL: Hypothesis mutates the records of a
+valid chain file, and every mutation goes through `train`, `eval`, `predict`
+and `inspect`. Each command must either exit 0 with finite outputs or exit 2
+with one `error:` line; a traceback, a warning or a NaN fails the test."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gnnsurrogate.cli import cli_main
+
+GEN_INI = """\
+[synthetic]
+seed = 11
+count = 4
+min_nodes = 5
+max_nodes = 7
+family = chain
+"""
+
+TRAIN_INI = """\
+[model]
+encoding = airfoil
+task = node_level
+latent_size = 3
+steps = 1
+depth = 1
+width = 4
+graph_output_size = 2
+node_output_size = 1
+target_mode = zscore
+
+[training]
+epochs = 1
+batch_size = 2
+initial_lr = 5e-4
+seed = 1
+"""
+
+HUGE = (1e308, -1e308, 1.7976931348623157e308, 10 ** 400, -(10 ** 400), 1e-320)
+OTHER_VALUES = ("text", "", 0, 1.5, -3, True, False, None, [], [[]], {}, {"a": 1},
+                [1, "x"], [[0.1, 0.2], [0.3]])
+NON_ASCII_IDS = ("Ünïcødé", "翼型-01", "🙂", "a\u0000b", "‮right-to-left", "é" * 200)
+
+
+def _leaves(value, path=()):
+    """(path, leaf) for every non-list inside nested lists."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def _lists(value, path=()):
+    """The path of every list inside `value`, itself included."""
+    if isinstance(value, list):
+        yield path
+        for i, item in enumerate(value):
+            yield from _lists(item, path + (i,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    value[path[0]] = _replace(value[path[0]], path[1:], new)
+    return value
+
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def mutations(draw, records):
+    """One mutated copy of `records` (JSON objects), and what was done."""
+    records = json.loads(json.dumps(records))
+    index = draw(st.integers(0, len(records) - 1))
+    rec = records[index]
+    key = draw(st.sampled_from(sorted(rec)))
+    kind = draw(st.sampled_from(["swap_type", "drop_key", "huge_number", "ragged_list",
+                                 "non_ascii_id"]))
+    if kind == "swap_type":
+        rec[key] = draw(st.sampled_from(OTHER_VALUES))
+    elif kind == "drop_key":
+        del rec[key]
+    elif kind == "huge_number":
+        numeric = [p for p, v in _leaves(rec[key])
+                   if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if not numeric:
+            rec[key] = draw(st.sampled_from(HUGE))
+        else:
+            rec[key] = _replace(rec[key], draw(st.sampled_from(numeric)),
+                                draw(st.sampled_from(HUGE)))
+    elif kind == "ragged_list":
+        lists = list(_lists(rec[key]))
+        if not lists:
+            rec[key] = [rec[key], [rec[key]]]
+        else:
+            path = draw(st.sampled_from(lists))
+            target = _get(rec[key], path)
+            if target and draw(st.booleans()):
+                target.pop(draw(st.integers(0, len(target) - 1)))
+            else:
+                target.append(target[-1] if target else 0.5)
+    else:
+        rec["id"], key = draw(st.sampled_from(NON_ASCII_IDS)), "id"
+    return records, index, f"{kind} {key!r} of record {index}"
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one command, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli_main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(name, code, err):
+    assert code in (0, 2), (name, code, err)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (name, err)
+    else:
+        assert err == "", (name, err)
+    return code == 0
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """(directory, the valid records as JSON objects, a checkpoint trained on them)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "gen.ini").write_text(GEN_INI)
+    (root / "train.ini").write_text(TRAIN_INI)
+    data = root / "data.jsonl"
+    assert _run(["gen", "--config", root / "gen.ini", "--out", data])[0] == 0
+    ckpt = root / "valid.ckpt"
+    assert _run(["train", "--config", root / "train.ini", "--data", data,
+                 "--out", ckpt])[0] == 0
+    lines = data.read_text().splitlines()
+    return root, lines[0], [json.loads(line) for line in lines[1:]], ckpt
+
+
+def test_mutated_records_exit_0_with_finite_outputs_or_2_with_one_line(valid):
+    root, header, records, ckpt = valid
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutations(records))
+    def check(mutation):
+        mutated, index, what = mutation
+        with tempfile.TemporaryDirectory(dir=root) as tmp:
+            tmp = Path(tmp)
+            data = tmp / "data.jsonl"
+            data.write_text("\n".join([header, *(json.dumps(r, ensure_ascii=False)
+                                                 for r in mutated)]) + "\n",
+                            encoding="utf-8")
+            out = tmp / "m.ckpt"
+            code, _, err = _run(["train", "--config", root / "train.ini",
+                                 "--data", data, "--out", out])
+            if _check_outcome(f"train: {what}", code, err):
+                log = [json.loads(line) for line in (tmp / "m.ckpt.log").read_text().splitlines()]
+                assert all(math.isfinite(rec["loss"]) for rec in log), what
+
+            csv = tmp / "eval.csv"
+            code, stdout, err = _run(["eval", "--ckpt", ckpt, "--data", data, "--csv", csv])
+            if _check_outcome(f"eval: {what}", code, err):
+                assert "nan" not in stdout.lower() and "inf" not in stdout.lower(), what
+                for row in csv.read_text().splitlines()[1:]:
+                    assert math.isfinite(float(row.rsplit(",", 1)[1])), (what, row)
+
+            pred = tmp / "pred.csv"
+            code, _, err = _run(["predict", "--ckpt", ckpt, "--data", data,
+                                 "--index", index, "--out", pred])
+            if _check_outcome(f"predict: {what}", code, err):
+                rows = pred.read_text().splitlines()[1:]
+                assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows), what
+
+            code, _, err = _run(["inspect", "--data", data])
+            _check_outcome(f"inspect: {what}", code, err)
+
+    check()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import gnnsurrogate as gs
 from gnnsurrogate.graph import (IncompatibleGraphsError, InvalidChainError,
                                 InvalidMeshError, extract_segment)
+from conftest import validate
 
 
 def edge_set(graph):
@@ -188,31 +189,31 @@ class TestBuildSurfaceChain:
 class TestValidate:
     def test_mesh_graph_valid(self):
         g = gs.build_from_mesh(np.zeros((4, 2)), [(0, 1, 2), (1, 2, 3)])
-        assert gs.validate(g) == []
+        assert validate(g) == []
 
     def test_missing_reverse_edge(self):
         g = gs.Graph(positions=np.zeros((2, 2)), edges=np.array([[0, 1]]))
-        violations = gs.validate(g)
+        violations = validate(g)
         assert len(violations) == 1 and "reverse" in violations[0]
 
     def test_self_loop(self):
         g = gs.Graph(positions=np.zeros((3, 2)),
                      edges=np.array([[2, 2]]))
-        assert any("self-loop" in v for v in gs.validate(g))
+        assert any("self-loop" in v for v in validate(g))
 
     def test_out_of_range(self):
         g = gs.Graph(positions=np.zeros((2, 2)), edges=np.array([[0, 9], [9, 0]]))
-        assert any("out of range" in v for v in gs.validate(g))
+        assert any("out of range" in v for v in validate(g))
 
     def test_duplicate_edge(self):
         g = gs.Graph(positions=np.zeros((2, 2)),
                      edges=np.array([[0, 1], [0, 1], [1, 0]]))
-        assert any("duplicate" in v for v in gs.validate(g))
+        assert any("duplicate" in v for v in validate(g))
 
     def test_feature_row_mismatch(self):
         g = gs.build_surface_chain(np.zeros((3, 2)))
         g = g.with_features(node_features=np.zeros((2, 4)))
-        assert any("node_features" in v for v in gs.validate(g))
+        assert any("node_features" in v for v in validate(g))
 
 
 class TestMergeBatch:
@@ -281,4 +282,4 @@ def test_random_meshes_validate_clean(data):
         for _ in range(n_cells)
     ]
     g = gs.build_from_mesh(np.random.rand(n, 3), cells)
-    assert gs.validate(g) == []
+    assert validate(g) == []

@@ -1,5 +1,7 @@
 import pickle
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -377,9 +379,60 @@ class TestRowRanges:
         assert pins == []
         monkeypatch.setattr(nn, "_WORKERS", 4)
         assert nn._row_ranges(1500) == (slice(0, 750), slice(750, 1500))
-        assert nn._row_ranges(4096) == (slice(0, 1024), slice(1024, 2048),
-                                        slice(2048, 3072), slice(3072, 4096))
-        assert pins == [1, 1]
+        # fixed chunks of at least 512 rows, whatever the CPU count
+        chunks = tuple(slice(lo, lo + 512) for lo in range(0, 4096, 512))
+        assert nn._row_ranges(4096) == chunks
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        assert nn._row_ranges(4096) == chunks
+        assert nn._row_ranges(1535) == (slice(0, 767), slice(767, 1535))
+        assert pins == [1, 1, 1, 1]
         # a BLAS whose threads cannot be held to one: calls run whole
         monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: False)
         assert nn._row_ranges(4096) == (slice(None),)
+
+    def test_a_raising_job_is_raised_once_the_started_ones_finish(self, monkeypatch):
+        """A chunk that raises on a worker, then a `beside` job that raises
+        while a chunk runs: each time the caller gets the exception, after
+        every started job has finished, and the next call still runs on the
+        pool. `_in_ranges` itself never pins the BLAS."""
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        ranges = tuple(slice(i, i + 1) for i in range(6))
+        main = threading.main_thread()
+        started, finished = [], []
+        on_main, on_worker = threading.Event(), threading.Event()
+
+        def chunk_failing_on_a_worker(a):
+            if threading.current_thread() is not main:
+                on_worker.set()
+                on_main.wait(10)
+                raise ValueError("chunk on a worker")
+            started.append(a[0])
+            on_main.set()
+            on_worker.wait(10)
+            time.sleep(0.05)
+            finished.append(a[0])
+
+        with pytest.raises(ValueError, match="chunk on a worker"):
+            nn._in_ranges(chunk_failing_on_a_worker, ranges, np.arange(6))
+        assert started and finished == started
+
+        started.clear(), finished.clear(), on_main.clear()
+
+        def slow_chunk(a):
+            started.append(a[0])
+            on_main.set()
+            time.sleep(0.05)
+            finished.append(a[0])
+
+        def failing_beside():
+            on_main.wait(10)       # a chunk runs on the other thread
+            raise ValueError("beside")
+
+        with pytest.raises(ValueError, match="beside"):
+            nn._in_ranges(slow_chunk, ranges, np.arange(6), beside=(failing_beside,))
+        assert started and sorted(finished) == sorted(started)
+
+        out, ran = np.zeros(6), []
+        nn._in_ranges(lambda o: np.add(o, 1.0, out=o), ranges, out,
+                      beside=(lambda: ran.append(1),))
+        assert out.tolist() == [1.0] * 6 and ran == [1]

@@ -9,8 +9,8 @@ import gnnsurrogate as gs
 from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.graph import merge_batch
-from conftest import (cast_mlp, featurized_samples, mlp_forward, run_python, tiny_config,
-                      zero_final_layer)
+from conftest import (cast_mlp, featurized_samples, mlp_forward, run_python, set_parameters,
+                      tiny_config, zero_final_layer)
 
 
 def make_featurized(rng, n=5, node_in=6, edge_in=3, with_chain=True):
@@ -497,7 +497,7 @@ class TestFlatParameters:
     def test_set_parameters_copies_without_rebinding(self):
         a, b = gnn.build_model(tiny_config(), 2), gnn.build_model(tiny_config(), 3)
         flat, w0 = a.flat, a.encoder_edge.weights[0]
-        a.set_parameters(b.parameters())
+        set_parameters(a, b.parameters())
         assert a.flat is flat and a.encoder_edge.weights[0] is w0
         np.testing.assert_array_equal(a.flat, b.flat)
         assert not np.shares_memory(a.flat, b.flat)
@@ -507,9 +507,9 @@ class TestFlatParameters:
         values = [p.copy() for p in m.parameters()]
         values[7] = values[7][:-1]
         with pytest.raises(ValueError, match=r"parameter 7 \(encoder_node b0\)"):
-            m.set_parameters(values)
+            set_parameters(m, values)
         with pytest.raises(ValueError, match="expected 48 parameter arrays, got 47"):
-            m.set_parameters(values[:-1])
+            set_parameters(m, values[:-1])
 
     def test_backward_is_laid_out_like_the_vector(self, rng):
         m = gnn.build_model(tiny_config(), 4)
@@ -720,6 +720,64 @@ class TestPrecisionFollowsParameters:
         arrays = [value, gpred, *adjoints, grad, reg, reg_grad, state.m, state.v, m.flat]
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
         assert not np.array_equal(m.flat, before)
+
+
+# A batch of meshes whose edge MLP calls run in at least four 512-row
+# chunks (and whose node calls split too), against the same forward and
+# backward run whole on one worker. Every reduction over rows (weight
+# gradients, bias sums, first-layer x.T @ g) must stay one whole call, so
+# the bytes agree. A split pins OpenBLAS for the rest of the process, so
+# this runs in a child interpreter.
+MODEL_SPLIT_SCRIPT = """
+import sys
+import numpy as np
+from gnnsurrogate import mlp as nn
+from gnnsurrogate import model as gnn
+from gnnsurrogate.graph import merge_batch
+from conftest import featurized_samples, tiny_config
+
+if not nn._pin_blas_to_one_thread():
+    raise SystemExit(print("unpinned"))
+nn._MIN_RANGE_ROWS = 512
+sys.setswitchinterval(1e-6)
+feat, samples = featurized_samples(4, 6, min_nodes=180, max_nodes=220, family="patch3d")
+batch = merge_batch([s.graph for s in samples])
+g = batch.graph
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width, latent=8, width=16,
+                                node_out=2), 0)
+rng = np.random.default_rng(5)
+grad_node, grad_graph = rng.normal(size=(g.num_nodes, 2)), rng.normal(size=(len(samples), 3))
+chunks = []
+in_ranges = nn._in_ranges
+nn._in_ranges = lambda task, ranges, *a, **kw: (chunks.append(len(ranges)),
+                                               in_ranges(task, ranges, *a, **kw))[1]
+
+
+def run(workers):
+    nn._WORKERS = workers
+    chunks.clear()
+    y_node, y_graph, tape = gnn.forward(m, batch)
+    y_node, y_graph = y_node.copy(), y_graph.copy()
+    grad = gnn.backward(m, tape, grad_node, grad_graph)
+    return [a.tobytes() for a in (y_node, y_graph, grad)], max(chunks, default=1)
+
+
+(split, most), (whole, one) = run(3), run(1)
+assert len(nn._row_ranges(g.num_edges)) == 1 and one == 1
+nn._WORKERS = 3
+assert len(nn._row_ranges(g.num_edges)) >= 4 and most >= 4, (g.num_edges, most)
+assert len(nn._row_ranges(g.num_nodes)) >= 2
+print(" ".join(name for name, a, b in zip(("node", "graph", "gradient"), split, whole)
+               if a != b) or "same")
+"""
+
+
+def test_split_forward_and_backward_equal_the_whole_run():
+    printed = run_python(MODEL_SPLIT_SCRIPT).strip()
+    if printed == "unpinned":
+        pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
+    assert printed == "same"
 
 
 # After a split the parent holds an idle row-range pool; a forked child has
