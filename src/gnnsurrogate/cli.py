@@ -79,17 +79,22 @@ def train_configs(path, seed=None):
     if task not in training.TASKS:
         raise ConfigFileError(f"{path}: [model] task: {task!r} is not one of "
                               f"{', '.join(training.TASKS)}")
-    featurizer = Featurizer(**{"encoding_kind": "airfoil", **feat_kw})
     node_level = task == "node_level"
     model_kw = {"latent_size": 64, "steps": 6, "depth": 4, "width": 64,
                 "graph_output_size": 4 if node_level else 1, **model_kw,
                 # accepted, and unused by a graph-level model
                 "node_output_size": model_kw.get("node_output_size", 1) if node_level else None}
-    model_cfg = gnn.GnnConfig(node_input_size=featurizer.node_feature_width,
-                              edge_input_size=featurizer.edge_feature_width, **model_kw)
     if seed is not None:
         train_kw["seed"] = seed
-    return featurizer, model_cfg, training.TrainConfig(**train_kw, task=task)
+    section = "model"           # whose values the dataclasses below refuse
+    try:
+        featurizer = Featurizer(**{"encoding_kind": "airfoil", **feat_kw})
+        model_cfg = gnn.GnnConfig(node_input_size=featurizer.node_feature_width,
+                                  edge_input_size=featurizer.edge_feature_width, **model_kw)
+        section = "training"
+        return featurizer, model_cfg, training.TrainConfig(**train_kw, task=task)
+    except ValueError as exc:
+        raise ConfigFileError(f"{path}: [{section}] {exc}") from exc
 
 
 def _model_settings(featurizer: Featurizer, model_cfg: gnn.GnnConfig) -> dict:
@@ -267,6 +272,9 @@ def cli_main(argv=None) -> int:
     except training.TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:       # a size in the config the machine cannot hold
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except (ValueError, OSError, configparser.Error, IndexError, KeyError,
             RuntimeError) as exc:
         message = " ".join(str(exc).splitlines())   # configparser's span lines

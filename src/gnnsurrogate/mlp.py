@@ -179,33 +179,46 @@ def _in_ranges(task, ranges: tuple[slice, ...], *arrays, beside=()):
         raise failed[0]
 
 
-def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
+def forward_tape(mlp: Mlp, x):
     """Row-batched forward pass; returns (output, tape for one backward).
 
-    The tape is (hs, zs): hs[k] is layer k's input and zs[k] its
+    `x` is an array of rows, or a list of blocks (array, rows) standing for
+    the column concatenation of array[rows] (of the array when rows is
+    None), never formed: each block meets its rows of W0 before any gather,
+    so a node-side block of an edge MLP costs a product over nodes. The tape
+    is (hs, zs): hs[k] is layer k's input (`x` for k = 0) and zs[k] its
     pre-activation, held as w0*z for sine layers so that backward takes the
-    cosine of it directly. A caller that forms the first layer's product
-    x @ W0 itself (the graph model does so block by block) passes it as `z0`,
-    which this function adds the bias to in place; `x` is then not used and
-    hs[0] is None. Every array takes the weights' dtype; `x` is cast to it.
-    A call of at least 2 * 2048 rows runs in row chunks (`_row_ranges`),
-    each through every layer as one job of `_in_ranges`'s queue, with the
-    bits of the whole call.
-    """
-    cfg = mlp.config
-    if z0 is None:
-        x = np.atleast_2d(np.asarray(x, dtype=mlp.weights[0].dtype))
-        if x.shape[1] != cfg.input_size:
-            raise ValueError(f"input width {x.shape[1]}, expected {cfg.input_size}")
+    cosine of it directly. Every array takes the weights' dtype: an array
+    `x` is cast to it, and blocks (the graph model's latents) are in it. A
+    call of at least 2 * 2048 rows runs in row chunks (`_row_ranges`), each
+    chunk's first-layer rows and then every layer as one job of
+    `_in_ranges`'s queue, with the bits of the whole call."""
+    cfg, blocks = mlp.config, x if isinstance(x, list) else None
+    if blocks:
+        a, rows = blocks[0]
+        width, n = sum([a.shape[1] for a, _ in blocks]), len(a if rows is None else rows)
     else:
-        x = None
-        if z0.shape[1] != mlp.weights[0].shape[1]:
-            raise ValueError(f"first pre-activation width {z0.shape[1]}, "
-                             f"expected {mlp.weights[0].shape[1]}")
-    ranges = _row_ranges(len(x if z0 is None else z0))
+        x = np.atleast_2d(np.asarray(x, dtype=mlp.weights[0].dtype))
+        width, n = x.shape[1], len(x)
+    if width != cfg.input_size:
+        raise ValueError(f"input width {width}, expected {cfg.input_size}")
+    ranges = _row_ranges(n)
     if len(ranges) > 1:
-        return _forward_in_ranges(mlp, x, z0, ranges)
-    z = x @ mlp.weights[0] if z0 is None else z0
+        return _forward_in_ranges(mlp, x, blocks or [(x, None)], ranges)
+    if blocks is None:
+        z = x @ mlp.weights[0]
+    else:
+        z, lo = None, 0
+        for a, rows in blocks:
+            hi = lo + a.shape[1]
+            p = a @ mlp.weights[0][lo:hi]
+            if rows is not None:
+                p = np.take(p, rows, axis=0)
+            if z is None:
+                z = p
+            else:
+                z += p
+            lo = hi
     w0 = cfg.sine_frequency
     hs, zs = [x], []    # layer inputs; pre-activations (times w0 for sine layers)
     last = len(mlp.weights) - 1
@@ -225,23 +238,35 @@ def forward_tape(mlp: Mlp, x: np.ndarray, z0: np.ndarray | None = None):
     return h, (hs, zs)
 
 
-def _forward_in_ranges(mlp: Mlp, x, z0, ranges):
+def _forward_in_ranges(mlp: Mlp, x, blocks, ranges):
     """`forward_tape` with every layer's arrays made whole first and each
-    row chunk run through all layers by one task."""
+    row chunk run through all layers by one task. A gathered block's
+    product runs over its whole array before the chunks; each chunk then
+    adds up its rows of the blocks in order, as the whole call does."""
     cfg = mlp.config
     w0, last = cfg.sine_frequency, len(mlp.weights) - 1
-    rows = len(x if z0 is None else z0)
+    rows = ranges[-1].stop
     sine = [k < last or cfg.output_activation == "sine" for k in range(last + 1)]
-    zs = [z0 if k == 0 and z0 is not None else np.empty((rows, w.shape[1]), w.dtype)
-          for k, w in enumerate(mlp.weights)]
+    bounds = [0, *itertools.accumulate(a.shape[1] for a, _ in blocks)]
+    wbs = [mlp.weights[0][lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sides = [None if r is None else a @ wb for (a, r), wb in zip(blocks, wbs)]
+    zs = [np.empty((rows, w.shape[1]), w.dtype) for w in mlp.weights]
     hs = [x] + [np.empty_like(z) if sine[k] or cfg.output_activation == "relu" else z
                 for k, z in enumerate(zs)]
 
-    def task(h, *layers):      # rows of x (or of z0), then each layer's z and output
+    def task(*parts):     # per block its rows (or gather indices), then each layer's z and output
+        h, layers = None, parts[len(blocks):]
         for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             z, out = layers[2 * k], layers[2 * k + 1]
-            if k or z0 is None:
+            if k:
                 np.matmul(h, w, out=z)
+            else:
+                for i, (part, side, wb) in enumerate(zip(parts, sides, wbs)):
+                    first = z if i == 0 else None
+                    p = (np.matmul(part, wb, out=first) if side is None
+                         else np.take(side, part, axis=0, out=first))
+                    if i:
+                        z += p
             z += b
             if sine[k]:
                 z *= w0
@@ -251,7 +276,7 @@ def _forward_in_ranges(mlp: Mlp, x, z0, ranges):
             h = out
 
     layers = [a for z, out in zip(zs, hs[1:]) for a in (z, out)]
-    _in_ranges(task, ranges, x if z0 is None else z0, *layers)
+    _in_ranges(task, ranges, *(a if r is None else r for a, r in blocks), *layers)
     return hs[-1], (hs, zs)
 
 
@@ -263,35 +288,44 @@ def _cos_chain(z, g, w0):
 
 
 def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
-             out: list | None = None):
+             out: list | None = None, sums=None):
     """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]),
     written into `out` (one array per parameter) when it is given.
 
+    The input gradient has the input's form: an array, or one array per
+    block shaped like the block's array; None with `input_grad` False. For a
+    gathered block that is the first pre-activation gradient gz0 summed onto
+    its array's rows, which the caller knows how to do cheaply: `sums(gz0)`,
+    required when a block is gathered, returns one such sum per gathered
+    block, in order.
+
     The tape is single-use: its layers are popped and overwritten, so a
-    second backward on it raises RuntimeError; x and grad_output (cast to
-    the weights' dtype) are only read. With `input_grad` False the input
-    gradient is None. For a tape recorded from `z0`, the first element is the
-    gradient wrt the first pre-activation and gW0 is left to the caller.
-    A call of at least 2 * 2048 rows runs each layer's input-gradient product
-    and the cosine chain of the layer below in row chunks (`_row_ranges`);
-    the layer's weight-gradient product and bias sum run whole, as one job
-    beside those chunks (`_in_ranges`), so every sum over rows keeps the
-    order of the unsplit call."""
+    second backward on it raises RuntimeError; the input and grad_output
+    (cast to the weights' dtype) are only read. A call of at least
+    2 * 2048 rows runs each layer's input-gradient product and the cosine
+    chain of the layer below in row chunks (`_row_ranges`); the layer's
+    weight-gradient product and bias sum run whole, as one job beside those
+    chunks (`_in_ranges`), so every sum over rows keeps the order of the
+    unsplit call. The first layer does so block by block, each block split
+    by its own gradient's rows."""
     if tape is None or len(tape[1]) != len(mlp.weights):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
+    blocks = hs[0] if isinstance(hs[0], list) else [(hs[0], None)]
+    if sums is None and any(rows is not None for _, rows in blocks):
+        raise ValueError("a gathered input block needs `sums`")
     cfg = mlp.config
     w0 = cfg.sine_frequency
     g = np.atleast_2d(np.asarray(grad_output, dtype=mlp.weights[0].dtype))
-    param_grads = [None] * (2 * len(mlp.weights)) if out is None else out
+    param_grads = ([np.empty_like(mlp.weights[0])] + [None] * (2 * len(mlp.weights) - 1)
+                   if out is None else out)
     hs.pop()                                # the output
     ranges = _row_ranges(len(g))
     whole = len(ranges) == 1
 
     def weight_grads(k, h, gz):             # layer k's, over every row at once
         param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
-        if h is not None:
-            param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
+        param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
 
     z = zs.pop()
     if cfg.output_activation == "sine":
@@ -310,14 +344,22 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
             _in_ranges(lambda gz, z: _cos_chain(z, gz @ wt, w0), ranges, gz, z,
                        beside=(lambda: weight_grads(k, h, gz),))
         gz = z
-    h, wt = hs.pop(), mlp.weights[0].T
-    if h is None or not input_grad:
-        weight_grads(0, h, gz)
-        return gz if h is None else None, param_grads
-    if whole:
-        weight_grads(0, h, gz)
-        return gz @ wt, param_grads
-    gx = np.empty((len(gz), wt.shape[1]), gz.dtype)     # wrt the caller's x
-    _in_ranges(lambda gz, gx: np.matmul(gz, wt, out=gx), ranges, gz, gx,
-               beside=(lambda: weight_grads(0, h, gz),))
-    return gx, param_grads
+    x = hs.pop()
+    block_sums = iter(() if sums is None else sums(gz))
+    param_grads[1] = gz.sum(axis=0, out=param_grads[1])
+    gxs, lo = [], 0
+    for a, rows in blocks:
+        hi = lo + a.shape[1]
+        wb, gwb = mlp.weights[0][lo:hi], param_grads[0][lo:hi]
+        lo = hi
+        gb = gz if rows is None else next(block_sums)   # gz summed onto a's rows
+        ranges = _row_ranges(len(gb)) if input_grad else _WHOLE
+        if len(ranges) == 1:
+            np.matmul(a.T, gb, out=gwb)
+            gxs.append(gb @ wb.T if input_grad else None)
+            continue
+        gx = np.empty((len(gb), wb.shape[0]), gb.dtype)
+        _in_ranges(lambda gb, gx: np.matmul(gb, wb.T, out=gx), ranges, gb, gx,
+                   beside=(lambda: np.matmul(a.T, gb, out=gwb),))
+        gxs.append(gx)
+    return ((gxs if isinstance(x, list) else gxs[0]) if input_grad else None), param_grads

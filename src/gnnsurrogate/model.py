@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,20 @@ from .mlp import Mlp, MlpConfig
 
 class ConfigError(ValueError):
     pass
+
+
+def check_fields(obj, least, finite):
+    """Raise ValueError naming the first field of `obj` that is below its
+    least value (`least` holds (name, least value) pairs) or, among the
+    names in `finite`, not finite. A field that is None passes."""
+    for name, low in least:
+        value = getattr(obj, name)
+        if value is not None and value < low:
+            raise ValueError(f"{name}: must be >= {low}, got {value!r}")
+    for name in finite:
+        value = getattr(obj, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +43,15 @@ class GnnConfig:
     graph_output_activation: str = "linear"
     node_output_activation: str = "linear"
     sine_frequency: float = 1.0
+
+    def __post_init__(self):
+        """Refuse, naming the field, a value that could not build or train."""
+        sizes = ("node_input_size", "edge_input_size", "latent_size", "depth", "width",
+                 "graph_output_size", "node_output_size")
+        check_fields(self, [(name, 1) for name in sizes] + [("steps", 0)], ["sine_frequency"])
+        for name in ("graph_output_activation", "node_output_activation"):
+            if getattr(self, name) not in nn.OUTPUT_ACTIVATIONS:
+                raise ValueError(f"{name}: unknown output activation {getattr(self, name)!r}")
 
     @property
     def task(self) -> str:
@@ -160,79 +182,6 @@ def _incidence(index: np.ndarray, num_nodes: int, dtype):
                              shape=(num_nodes, num_e))
 
 
-def _first_layer(w: np.ndarray, blocks) -> np.ndarray:
-    """x @ w for x the column concatenation of `blocks`, without forming x.
-
-    A block is (array, rows) and stands for array[rows], or for the array
-    itself when rows is None. Each block meets its own rows of w before any
-    gather, so a node-side block costs a product over nodes, not edges.
-    An output of split size (`mlp._row_ranges`) is formed in row chunks
-    (`_first_layer_in_ranges`).
-    """
-    x, rows = blocks[0]
-    ranges = nn._row_ranges(len(x) if rows is None else len(rows))
-    if len(ranges) > 1:
-        return _first_layer_in_ranges(w, blocks, ranges)
-    z, lo = None, 0
-    for x, rows in blocks:
-        hi = lo + x.shape[1]
-        p = x @ w[lo:hi]
-        if rows is not None:
-            p = np.take(p, rows, axis=0)
-        if z is None:
-            z = p
-        else:
-            z += p
-        lo = hi
-    return z
-
-
-def _first_layer_in_ranges(w: np.ndarray, blocks, ranges) -> np.ndarray:
-    """`_first_layer` with the node-side products run first, over nodes, and
-    then each row chunk's rows added up block by block in the same order,
-    so that they have the bits of the unsplit sum."""
-    bounds = [0, *itertools.accumulate(x.shape[1] for x, _ in blocks)]
-    wbs = [w[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    sides = [None if rows is None else x @ wb for (x, rows), wb in zip(blocks, wbs)]
-
-    def chunk(z, *parts):       # per block: its rows of x, or of the gather indices
-        for i, (part, side, wb) in enumerate(zip(parts, sides, wbs)):
-            first = z if i == 0 else None
-            p = (np.matmul(part, wb, out=first) if side is None
-                 else np.take(side, part, axis=0, out=first))
-            if i:
-                z += p
-
-    z = np.empty((ranges[-1].stop, w.shape[1]), np.result_type(blocks[0][0], w))
-    nn._in_ranges(chunk, ranges, z, *(x if rows is None else rows for x, rows in blocks))
-    return z
-
-
-def _first_layer_adjoint(w: np.ndarray, blocks, sums, gw: np.ndarray):
-    """Adjoint of `_first_layer`.
-
-    sums[i] is the pre-activation gradient summed onto the rows of block i's
-    array (the gradient itself for a block with rows None). Writes the
-    gradient wrt w into `gw`; returns the gradient wrt each block's array.
-    A block of split size runs g @ w.T in row chunks and its x.T @ g whole,
-    beside them (`mlp._in_ranges`)."""
-    gxs, lo = [], 0
-    for (x, _), g in zip(blocks, sums):
-        hi = lo + x.shape[1]
-        wb, gwb = w[lo:hi], gw[lo:hi]
-        lo = hi
-        ranges = nn._row_ranges(len(g))
-        if len(ranges) == 1:
-            np.matmul(x.T, g, out=gwb)
-            gxs.append(g @ wb.T)
-            continue
-        gx = np.empty((len(g), wb.shape[0]), np.result_type(g, wb))
-        nn._in_ranges(lambda g, gx: np.matmul(g, wb.T, out=gx), ranges, g, gx,
-                      beside=(lambda: np.matmul(x.T, g, out=gwb),))
-        gxs.append(gx)
-    return gxs
-
-
 def encode(model: GnnModel, graph: Graph, tape: list | None = None):
     """Row-wise latent embedding of node and edge features. Given a `tape`
     list, appends (graph, edge encoder tape, node encoder tape) to it."""
@@ -247,22 +196,21 @@ def message_passing_step(model: GnnModel, k: int, graph: Graph, state,
                          recv_mat=None, tape: list | None = None):
     """One residual processor step on (latent nodes, latent edges).
 
-    The MLPs' first layers are formed from the blocks [e | v[s] | v[r]] and
-    [v | agg], with no concatenated copy. agg = recv_mat @ ue, for recv_mat
-    the receiver incidence of `graph`, built here when not given. Tape entry:
-    (recv_mat, edge MLP tape, its blocks, node MLP tape, its blocks)."""
+    The edge MLP reads the blocks [e | v[s] | v[r]] and the node MLP
+    [v | agg] (`mlp.forward_tape`), with no concatenated copy. agg =
+    recv_mat @ ue, for recv_mat the receiver incidence of `graph`, built
+    here when not given. Tape entry: (recv_mat, edge MLP tape, node MLP
+    tape); each MLP tape holds its blocks."""
     if not (0 <= k < model.config.steps):
         raise ConfigError(f"step {k} out of range, model has {model.config.steps}")
     v, e = state
     if recv_mat is None:
         recv_mat = _incidence(graph.receivers, graph.num_nodes, model.flat.dtype)
-    pe, pn = model.processor_edge[k], model.processor_node[k]
-    edge_blocks = [(e, None), (v, graph.senders), (v, graph.receivers)]
-    ue, tape_pe = nn.forward_tape(pe, None, z0=_first_layer(pe.weights[0], edge_blocks))
-    node_blocks = [(v, None), (recv_mat @ ue, None)]
-    uv, tape_pn = nn.forward_tape(pn, None, z0=_first_layer(pn.weights[0], node_blocks))
+    ue, tape_pe = nn.forward_tape(model.processor_edge[k],
+                                  [(e, None), (v, graph.senders), (v, graph.receivers)])
+    uv, tape_pn = nn.forward_tape(model.processor_node[k], [(v, None), (recv_mat @ ue, None)])
     if tape is not None:
-        tape.append((recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks))
+        tape.append((recv_mat, tape_pe, tape_pn))
     # in place: backward never reads the output of the MLPs' linear heads
     return np.add(v, uv, out=uv), np.add(e, ue, out=ue)
 
@@ -279,16 +227,16 @@ def decode_graph(model: GnnModel, latent_nodes: np.ndarray, segments,
 
 def decode_node(model: GnnModel, latent_nodes: np.ndarray, y_graph: np.ndarray,
                 seg_ids: np.ndarray, tape: list | None = None):
-    """Node decoder over [latent node | y_graph[seg_ids]], its first layer
-    formed block by block. seg_ids, each node's member index, is
-    nondecreasing (`BatchedGraph.segment_ids()`). Tape entry: (tape, blocks)."""
-    dn = model.decoder_node
-    if dn is None:
+    """Node decoder over the blocks [latent node | y_graph[seg_ids]]
+    (`mlp.forward_tape`). seg_ids, each node's member index, is
+    nondecreasing (`BatchedGraph.segment_ids()`). Tape entry: (decoder
+    tape, seg_ids)."""
+    if model.decoder_node is None:
         raise ConfigError("model has no node decoder (graph-level task)")
-    blocks = [(latent_nodes, None), (y_graph, seg_ids)]
-    y_node, tape_dn = nn.forward_tape(dn, None, z0=_first_layer(dn.weights[0], blocks))
+    y_node, tape_dn = nn.forward_tape(model.decoder_node,
+                                      [(latent_nodes, None), (y_graph, seg_ids)])
     if tape is not None:
-        tape.append((tape_dn, blocks))
+        tape.append((tape_dn, seg_ids))
     return y_node
 
 
@@ -315,14 +263,13 @@ def forward(model: GnnModel, graph_or_batch):
     Returns (node_out or None, graph_out (m, d_G), tape). graph_out for a
     node-level task is the internal pooled context, not a supervised output.
     The tape, for one `backward` to consume, is the stack of the stages'
-    entries in the order they ran; a blockwise MLP's entry holds its blocks
-    (latent arrays, gather indices).
+    entries in the order they ran; a blockwise MLP's tape holds its blocks.
 
-    An MLP call of 4096 rows or more, and a blockwise first layer with that
-    many output rows, runs in row chunks over the CPUs (`mlp._in_ranges`)
-    and, from then on, holds every OpenBLAS in the process to one thread:
-    all of the process's later BLAS work, numpy's and scipy's included, runs
-    on one thread (`mlp._pin_blas_to_one_thread`); nothing undoes it."""
+    An MLP call of 4096 rows or more runs in row chunks over the CPUs
+    (`mlp._in_ranges`) and, from then on, holds every OpenBLAS in the
+    process to one thread: all of the process's later BLAS work, numpy's
+    and scipy's included, runs on one thread (`mlp._pin_blas_to_one_thread`);
+    nothing undoes it."""
     tape = []
     y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
@@ -333,14 +280,14 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     like `model.flat` (`model.split` gives it per parameter), written
     through views. Consumes `forward`'s tape, popping the decoders, the steps
     from last to first and the encoders, so a second backward on it raises
-    RuntimeError. A blockwise MLP's backward stops at its first
-    pre-activation gradient gz0; the sender and receiver sums of gz0 (one
-    incidence matmul each) then give the first-layer weight blocks and the
-    node gradients. An MLP call or first-layer block of 4096 rows or more
-    runs its row-wise products and cosine chains in row chunks, with its
-    weight-gradient product, bias sum or x.T @ g as one whole job beside
-    them, so no sum over rows changes order; as in `forward`, it holds the
-    process's OpenBLAS to one thread for good."""
+    RuntimeError. A blockwise MLP's `mlp.backward` returns one gradient per
+    block; a gathered block's sums the first pre-activation's gradient onto
+    nodes (or graphs) through the `sums` given here: the sender and receiver
+    incidence products, or the segment sums. An MLP call or first-layer
+    block of 4096 rows or more runs its row-wise products and cosine chains
+    in row chunks, with its weight-gradient product, bias sum or x.T @ g as
+    one whole job beside them, so no sum over rows changes order; as in
+    `forward`, it holds the process's OpenBLAS to one thread for good."""
     cfg = model.config
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
@@ -354,14 +301,14 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
 
     gy_dn = None
     if model.decoder_node is not None:
-        dn, out_dn = model.decoder_node, outs.pop()
-        tape_dn, dn_blocks = tape.pop()
+        out_dn = outs.pop()
+        tape_dn, seg_ids = tape.pop()
         if grad_node_out is not None:
-            gz, _ = nn.backward(dn, tape_dn, grad_node_out, out=out_dn)
             # segment ids are nondecreasing: a member's rows start where they change
-            starts = np.flatnonzero(np.diff(dn_blocks[1][1], prepend=-1))
-            gv_dn, gy_dn = _first_layer_adjoint(
-                dn.weights[0], dn_blocks, [gz, np.add.reduceat(gz, starts, axis=0)], out_dn[0])
+            starts = np.flatnonzero(np.diff(seg_ids, prepend=-1))
+            (gv_dn, gy_dn), _ = nn.backward(
+                model.decoder_node, tape_dn, grad_node_out, out=out_dn,
+                sums=lambda gz: [np.add.reduceat(gz, starts, axis=0)])
             gv += gv_dn
 
     tape_dg, segments = tape.pop()
@@ -376,17 +323,15 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
 
     r, send_mat = g.receivers, _incidence(g.senders, g.num_nodes, dtype)
     for k in range(cfg.steps - 1, -1, -1):
-        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
-        pe, pn = model.processor_edge[k], model.processor_node[k]
+        recv_mat, tape_pe, tape_pn = tape.pop()
         # v_next = v + uv; e_next = e + ue; agg feeds uv, e/v feed ue
-        gz, grads_pn = nn.backward(pn, tape_pn, gv, out=outs.pop())
-        gv_pn, gagg = _first_layer_adjoint(pn.weights[0], node_blocks, [gz, gz], grads_pn[0])
+        (gv_pn, gagg), _ = nn.backward(model.processor_node[k], tape_pn, gv, out=outs.pop())
         gv += gv_pn
         gue = np.take(gagg, r, axis=0)
         gue += ge
-        gz, grads_pe = nn.backward(pe, tape_pe, gue, out=outs.pop())
-        ge_pe, gv_s, gv_r = _first_layer_adjoint(
-            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz], grads_pe[0])
+        (ge_pe, gv_s, gv_r), _ = nn.backward(
+            model.processor_edge[k], tape_pe, gue, out=outs.pop(),
+            sums=lambda gz: [send_mat @ gz, recv_mat @ gz])
         ge += ge_pe
         gv += gv_s
         gv += gv_r

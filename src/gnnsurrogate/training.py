@@ -140,16 +140,19 @@ class TrainConfig:
     task: str = "node_level"          # or "graph_level"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.initial_lr <= 0 or not (0.0 < self.plateau_factor < 1.0):
-            raise ValueError("bad learning-rate configuration")
-        if self.l1_coefficient < 0:
-            raise ValueError("l1_coefficient must be >= 0")
+        """Refuse, naming the field, a value that could not train."""
+        gnn.check_fields(self, [("epochs", 1), ("batch_size", 1), ("plateau_patience", 0),
+                                ("seed", 0), ("l1_coefficient", 0)],
+                         ["initial_lr", "l1_coefficient", "plateau_factor", "plateau_min_delta",
+                          "lr_min"])
+        if self.initial_lr <= 0:
+            raise ValueError(f"initial_lr: must be > 0, got {self.initial_lr!r}")
+        if not (0.0 < self.plateau_factor < 1.0):
+            raise ValueError(f"plateau_factor: must lie in (0, 1), got {self.plateau_factor!r}")
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"task: unknown task {self.task!r}")
         if self.lr_min is not None and not (0.0 <= self.lr_min <= self.initial_lr):
-            raise ValueError(f"lr_min {self.lr_min} outside [0, initial_lr]")
+            raise ValueError(f"lr_min: {self.lr_min!r} outside [0, initial_lr]")
 
     def plateau_schedule(self) -> PlateauSchedule:
         """The learning-rate schedule a fresh training run starts from."""

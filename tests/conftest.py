@@ -125,18 +125,24 @@ def untimed_log(path):
     return records
 
 
-def edit_resume_meta(path, **entries):
-    """Rewrite the checkpoint at `path` with `entries` set in its
-    'resume_meta' section, as a hand edit of the file would."""
+def edit_json_section(path, name, edit):
+    """Rewrite the checkpoint at `path` with edit(d) applied to the JSON
+    object d of its section `name`, as a hand edit of the file would."""
     raw = path.read_bytes()
     start = len(checkpoint.MAGIC) + 4
     sections = checkpoint._read_sections(raw, start)
-    sections["resume_meta"] = json.dumps({**json.loads(sections["resume_meta"]),
-                                          **entries}).encode()
+    entries = json.loads(sections[name])
+    edit(entries)
+    sections[name] = json.dumps(entries).encode()
     out = io.BytesIO()
-    for name, payload in sections.items():
-        checkpoint._write_section(out, name, payload)
+    for section, payload in sections.items():
+        checkpoint._write_section(out, section, payload)
     path.write_bytes(raw[:start] + out.getvalue())
+
+
+def edit_resume_meta(path, **entries):
+    """Set `entries` in the 'resume_meta' section of the checkpoint at `path`."""
+    edit_json_section(path, "resume_meta", lambda meta: meta.update(entries))
 
 
 def count_calls(monkeypatch, owner, name, counts):

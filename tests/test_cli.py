@@ -391,6 +391,21 @@ class TestBadInvocations:
             assert f"{paths['empty']}: holds no records" in err
 
 
+    def test_a_size_past_memory_exits_2(self, workspace, capsys, monkeypatch):
+        """A width of 10**12 asks for terabytes; the allocator refuses it at
+        once, and the refusal is one line, not numpy's traceback."""
+        tmp_path, _, data = workspace
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(TRAIN_INI.replace("width = 5", "width = 1000000000000"))
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate"), err
+        assert len(err.splitlines()) == 1
+
+
 class TestJsonBooleans:
     """`chain`, `closed` and `upper_flags` are JSON booleans and `freestream`
     holds no JSON booleans; any other value exits 2 naming the file, the
@@ -602,6 +617,18 @@ class TestBadIni:
             "[model] use_speed_squared: Not a boolean"),
         "unknown_task": ("train", TRAIN_INI.replace("task = node_level", "task = graphlevel"),
                          "[model] task: 'graphlevel' is not one of node_level, graph_level"),
+        # values that parse but could not build or train: refused before either
+        "negative_steps": ("train", TRAIN_INI.replace("steps = 2", "steps = -1"),
+                           "[model] steps: must be >= 0, got -1"),
+        "zero_latent_size": ("train", TRAIN_INI.replace("latent_size = 4", "latent_size = 0"),
+                             "[model] latent_size: must be >= 1, got 0"),
+        "nan_sine_frequency": ("train", TRAIN_INI.replace(
+            "target_mode = zscore", "target_mode = zscore\nsine_frequency = nan"),
+            "[model] sine_frequency: must be finite, got nan"),
+        "nan_initial_lr": ("train", TRAIN_INI.replace("5e-4", "nan"),
+                           "[training] initial_lr: must be finite, got nan"),
+        "inf_l1_coefficient": ("train", TRAIN_INI + "l1_coefficient = inf\n",
+                               "[training] l1_coefficient: must be finite, got inf"),
         "missing_model_section": ("train", GEN_INI, "no [model] section"),
         "missing_training_section": ("train", TRAIN_INI.split("[training]")[0],
                                      "no [training] section"),

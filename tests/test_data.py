@@ -14,8 +14,8 @@ from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
 from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, SeligParseError,
                                    chain_target, patch_target, record_from_selig)
 from gnnsurrogate.training import AdamState, PlateauSchedule
-from conftest import (count_featurizing, edit_resume_meta, featurized_samples, tiny_config,
-                      validate)
+from conftest import (count_featurizing, edit_json_section, edit_resume_meta,
+                      featurized_samples, tiny_config, validate)
 
 
 class TestDatasetRoundTrip:
@@ -702,6 +702,14 @@ class TestCheckpoint:
         edit_resume_meta(path, **{name: value})
         with pytest.raises(CheckpointError, match=re.escape(
                 f"section 'resume_meta': entry {name!r} is {value!r}, expected {expected}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("steps", -1), ("latent_size", 0),
+                                             ("sine_frequency", float("nan"))])
+    def test_model_entry_that_cannot_build_is_named(self, tmp_path, name, value):
+        _, _, path = self.resumable(tmp_path)
+        edit_json_section(path, "meta", lambda meta: meta["model"].update({name: value}))
+        with pytest.raises(CheckpointError, match=rf"section 'meta': .*{name}: must be"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name, value", [("epoch", 0), ("t", 12), ("lr", 1),

@@ -1,8 +1,11 @@
-"""Boundary fuzz of the dataset JSONL: Hypothesis mutates the records of a
-valid chain file, and every mutation goes through `train`, `eval`, `predict`
-and `inspect`. Each command must either exit 0 with finite outputs or exit 2
-with one `error:` line; a traceback, a warning or a NaN fails the test."""
+"""Boundary fuzz of the dataset JSONL and the train INI: Hypothesis mutates
+the records of a valid chain file, and every mutation goes through `train`,
+`eval`, `predict` and `inspect`; it also replaces, drops or adds one entry
+of the train INI and runs `train`. Each command must either exit 0 with
+finite outputs or exit 2 with one `error:` line; a traceback, a warning or a
+NaN fails the test."""
 
+import configparser
 import contextlib
 import io
 import json
@@ -12,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gnnsurrogate.cli import cli_main
 
@@ -187,5 +190,72 @@ def test_mutated_records_exit_0_with_finite_outputs_or_2_with_one_line(valid):
 
             code, _, err = _run(["inspect", "--data", data])
             _check_outcome(f"inspect: {what}", code, err)
+
+    check()
+
+
+# The [model] and [training] keys TRAIN_INI leaves at their defaults, and one
+# no section accepts: an added entry is one of these or a present key.
+ABSENT_KEYS = {"model": ("sine_frequency", "graph_output_activation", "node_output_activation",
+                         "cell_type_vocabulary", "use_speed_squared", "no_such_key"),
+               "training": ("l1_coefficient", "plateau_patience", "plateau_factor",
+                            "plateau_min_delta", "lr_min", "no_such_key")}
+SIZE_KEYS = ("latent_size", "depth", "width", "graph_output_size", "node_output_size")
+# values that fail or finish at once; 10**12 only for sizes, which it makes
+# fail at allocation (a large epochs, steps or batch_size would run long)
+INI_VALUES = ("-1", "0", "nan", "inf", "1e400", "x", "")
+# dropping epochs would train its default 2000 epochs
+UNDROPPABLE = ("epochs",)
+
+
+def _ini_sections() -> dict:
+    parser = configparser.ConfigParser()
+    parser.read_string(TRAIN_INI)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+@st.composite
+def ini_edits(draw):
+    """(what is done, section, key, new value or None to drop the key)."""
+    sections = _ini_sections()
+    section = draw(st.sampled_from(sorted(sections)))
+    kind = draw(st.sampled_from(["replace", "drop", "add"]))
+    if kind == "drop":
+        key = draw(st.sampled_from([k for k in sections[section] if k not in UNDROPPABLE]))
+        return kind, section, key, None
+    key = draw(st.sampled_from(sorted(sections[section]) if kind == "replace"
+                               else ABSENT_KEYS[section]))
+    values = INI_VALUES + (str(10 ** 12),) * (key in SIZE_KEYS)
+    return kind, section, key, draw(st.sampled_from(values))
+
+
+def test_edited_train_ini_exits_0_with_finite_losses_or_2_with_one_line(valid):
+    root, _, _, _ = valid
+    data = root / "data.jsonl"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ini_edits())
+    @example(("replace", "model", "steps", "-1"))
+    @example(("replace", "model", "width", str(10 ** 12)))
+    @example(("replace", "training", "initial_lr", "nan"))
+    @example(("add", "training", "l1_coefficient", "inf"))
+    @example(("add", "model", "sine_frequency", "nan"))
+    def check(edit):
+        kind, section, key, value = edit
+        sections = _ini_sections()
+        if value is None:
+            del sections[section][key]
+        else:
+            sections[section][key] = value
+        with tempfile.TemporaryDirectory(dir=root) as tmp:
+            tmp = Path(tmp)
+            ini = tmp / "train.ini"
+            ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                   for name, kv in sections.items()))
+            code, _, err = _run(["train", "--config", ini, "--data", data,
+                                 "--out", tmp / "m.ckpt"])
+            if _check_outcome(f"train: {edit}", code, err):
+                log = [json.loads(line) for line in (tmp / "m.ckpt.log").read_text().splitlines()]
+                assert log and all(math.isfinite(rec["loss"]) for rec in log), edit
 
     check()

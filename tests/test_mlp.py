@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gnnsurrogate import mlp as nn
 from gnnsurrogate.mlp import Mlp, MlpConfig, backward, forward_tape, he_init
@@ -215,13 +216,13 @@ class TestInPlaceChainExact:
             np.testing.assert_array_equal(grads[2 * k], hs_ref[k].T @ gz)
             np.testing.assert_array_equal(grads[2 * k + 1], gz.sum(axis=0))
 
-        # from a caller-formed first product, backward returns layer 0's gz
-        y2, tape2 = forward_tape(mlp, None, z0=x @ mlp.weights[0])
+        # one block of every column is the array itself, bit for bit
+        y2, tape2 = forward_tape(mlp, [(x, None)])
         np.testing.assert_array_equal(y2, y_ref)
-        gz0, grads2 = backward(mlp, tape2, g_out)
-        np.testing.assert_array_equal(gz0, gzs[0])
-        assert grads2[0] is None
-        for a, b in zip(grads2[1:], grads[1:]):
+        gxs, grads2 = backward(mlp, tape2, g_out)
+        assert len(gxs) == 1
+        np.testing.assert_array_equal(gxs[0], gx_ref)
+        for a, b in zip(grads2, grads):
             np.testing.assert_array_equal(a, b)
 
     def test_input_gradient_skipped_on_request(self):
@@ -235,19 +236,59 @@ class TestInPlaceChainExact:
         for a, b in zip(grads, full):
             np.testing.assert_array_equal(a, b)
 
-    def test_first_product_width_checked(self):
+    def test_block_width_checked(self):
         mlp = he_init(MlpConfig(input_size=3, depth=1, width=4, output_size=1), 0)
-        with pytest.raises(ValueError):
-            forward_tape(mlp, None, z0=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="input width 4, expected 3"):
+            forward_tape(mlp, [(np.zeros((2, 2)), None), (np.zeros((5, 2)), np.arange(2))])
+        with pytest.raises(ValueError, match="input width 2, expected 3"):
+            forward_tape(mlp, [(np.zeros((2, 2)), None)])
+
+    @pytest.mark.parametrize("act", ["linear", "relu", "sine"])
+    def test_gathered_blocks_match_the_concatenated_input(self, act):
+        """Blocks [e | v[s] | v[r]] against np.hstack of them: the same
+        output and gradients to within rounding, with each gathered block's
+        gradient the concatenated input's columns summed onto v's rows."""
+        rng = np.random.default_rng(13)
+        mlp = he_init(MlpConfig(input_size=8, depth=2, width=6, output_size=3,
+                                output_activation=act, sine_frequency=0.8), rng)
+        for b in mlp.biases:
+            b[:] = rng.normal(size=b.shape)
+        e, v = rng.normal(size=(9, 2)), rng.normal(size=(4, 3))
+        s, r = rng.integers(0, 4, size=9), rng.integers(0, 4, size=9)
+        g_out = rng.normal(size=(9, 3))
+        y_ref, tape = forward_tape(mlp, np.hstack([e, v[s], v[r]]))
+        y_ref = y_ref.copy()
+        gx_ref, grads_ref = backward(mlp, tape, g_out)
+
+        def onto_v(rows, g):
+            out = np.zeros((4, g.shape[1]))
+            np.add.at(out, rows, g)
+            return out
+
+        y, tape = forward_tape(mlp, [(e, None), (v, s), (v, r)])
+        (ge, gv_s, gv_r), grads = backward(mlp, tape, g_out,
+                                           sums=lambda gz: [onto_v(s, gz), onto_v(r, gz)])
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, y_ref, **close)
+        np.testing.assert_allclose(ge, gx_ref[:, :2], **close)
+        np.testing.assert_allclose(gv_s, onto_v(s, gx_ref[:, 2:5]), **close)
+        np.testing.assert_allclose(gv_r, onto_v(r, gx_ref[:, 5:]), **close)
+        for got, want in zip(grads, grads_ref):
+            np.testing.assert_allclose(got, want, **close)
+
+    def test_gathered_block_needs_sums(self):
+        mlp = he_init(MlpConfig(input_size=3, depth=1, width=4, output_size=1), 0)
+        _, tape = forward_tape(mlp, [(np.ones((2, 1)), None), (np.ones((1, 2)), np.zeros(2, int))])
+        with pytest.raises(ValueError, match="sums"):
+            backward(mlp, tape, np.ones((2, 1)))
 
 
 class TestSingleUseTape:
-    @pytest.mark.parametrize("first_product", [False, True])
-    def test_second_backward_raises(self, first_product):
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_second_backward_raises(self, blocks):
         mlp = he_init(MlpConfig(input_size=3, depth=2, width=4, output_size=2), 5)
         x = np.random.default_rng(6).normal(size=(5, 3))
-        _, tape = (forward_tape(mlp, None, z0=x @ mlp.weights[0]) if first_product
-                   else forward_tape(mlp, x))
+        _, tape = forward_tape(mlp, [(x[:, :1], None), (x[:, 1:], None)] if blocks else x)
         backward(mlp, tape, np.ones((5, 2)))
         with pytest.raises(RuntimeError, match="consumed"):
             backward(mlp, tape, np.ones((5, 2)))
@@ -272,26 +313,38 @@ class TestSingleUseTape:
         for now, before in ((x, x0), (g_out, g0), (y, y0)):
             np.testing.assert_array_equal(now, before)
 
-        # from a caller-formed first product, gW0 is left to the caller
+        # from blocks, one of them gathered, every parameter is written too
+        nodes, rows = x[:3, 1:].copy(), np.array([0, 1, 2, 2, 1, 0])
+        blocks = [(x[:, :1], None), (nodes, rows)]
+        held = [a.copy() for a in (nodes, rows)]
         out = [np.full_like(p, np.nan) for p in mlp.parameters()]
-        backward(mlp, forward_tape(mlp, None, z0=x @ mlp.weights[0])[1], g_out, out=out)
-        assert np.isnan(out[0]).all()
-        for got, want in zip(out[1:], grads_ref[1:]):
-            np.testing.assert_array_equal(got, want)
+        _, tape = forward_tape(mlp, blocks)
+        (gx_e, gx_nodes), grads = backward(
+            mlp, tape, g_out, out=out,
+            sums=lambda gz: [np.stack([gz[rows == n].sum(axis=0) for n in range(3)])])
+        assert grads is out and not any(np.isnan(a).any() for a in out)
+        assert gx_e.shape == (6, 1) and gx_nodes.shape == nodes.shape
+        for now, before in zip((nodes, rows, x, g_out), (*held, x0, g0)):
+            np.testing.assert_array_equal(now, before)
 
 
-def forward_backward(mlp, x, g_out, first_product):
-    """(output, input gradient, parameter gradients) of one call on rows `x`."""
-    if first_product:
-        y, tape = forward_tape(mlp, None, z0=x @ mlp.weights[0])
-    else:
-        y, tape = forward_tape(mlp, x)
+def forward_backward(mlp, x, g_out):
+    """(output, input gradient, parameter gradients) of one call on `x`,
+    rows or blocks; a gathered block's gradient is summed onto its array's
+    rows by an incidence product, as the graph model does."""
+    y, tape = forward_tape(mlp, x)
     y = y.copy()
-    gx, grads = backward(mlp, tape, g_out)
+    sums = None
+    if isinstance(x, list):
+        sums = lambda gz: [sparse.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                                             shape=(len(a), len(rows))) @ gz
+                           for a, rows in x if rows is not None]
+    gx, grads = backward(mlp, tape, g_out, sums=sums)
     return y, gx, grads
 
 
 ROWS = 1536
+NODES = 1100
 ACTIVATIONS = ("linear", "relu", "sine")
 
 
@@ -301,34 +354,43 @@ def row_range_case(act):
                             output_activation=act, sine_frequency=0.7), rng)
     for b in mlp.biases:
         b[:] = rng.normal(size=b.shape)
-    return mlp, rng.normal(size=(ROWS, 7)), rng.normal(size=(ROWS, 5))
+    x, g_out = rng.normal(size=(ROWS, 7)), rng.normal(size=(ROWS, 5))
+    nodes, gather = rng.normal(size=(NODES, 3)), rng.integers(0, NODES, size=ROWS)
+    return mlp, x, nodes, gather, g_out
+
+
+def call_input(x, nodes, gather, blocks, rows=slice(None)):
+    """Rows `rows` of the call: x's, or blocks [x's first 4 columns | nodes[gather]]."""
+    return [(x[rows, :4], None), (nodes, gather[rows])] if blocks else x[rows]
 
 
 def row_range_runs() -> dict:
-    """Per (output activation, tape from `z0`): `forward_backward` of a
+    """Per (output activation, input as blocks): `forward_backward` of a
     1536-row call split into three ranges ("split"), of its 384-row pieces
     ("pieces") and of the call run whole on one worker ("whole"); empty where
     no OpenBLAS can be held to one thread, so nothing splits. Three ranges
     of at least 512 rows whatever the CPU count, with frequent thread
-    switches. A split pins OpenBLAS for the rest of the process, so this
-    runs in a child interpreter (`ROW_RANGE_SCRIPT`)."""
+    switches; the gathered block's 1100-row adjoint splits in two. A split
+    pins OpenBLAS for the rest of the process, so this runs in a child
+    interpreter (`ROW_RANGE_SCRIPT`)."""
     if not nn._pin_blas_to_one_thread():
         return {}
     nn._MIN_RANGE_ROWS = 512
     sys.setswitchinterval(1e-6)
     runs = {}
     for act in ACTIVATIONS:
-        for first_product in (False, True):
-            mlp, x, g_out = row_range_case(act)
+        for blocks in (False, True):
+            mlp, x, nodes, gather, g_out = row_range_case(act)
             nn._WORKERS = 3
-            assert len(nn._row_ranges(ROWS)) == 3
-            split = forward_backward(mlp, x, g_out, first_product)
-            pieces = [forward_backward(mlp, x[lo:lo + 384], g_out[lo:lo + 384], first_product)
+            assert len(nn._row_ranges(ROWS)) == 3 and len(nn._row_ranges(NODES)) == 2
+            split = forward_backward(mlp, call_input(x, nodes, gather, blocks), g_out)
+            pieces = [forward_backward(mlp, call_input(x, nodes, gather, blocks,
+                                                       slice(lo, lo + 384)), g_out[lo:lo + 384])
                       for lo in range(0, ROWS, 384)]
             nn._WORKERS = 1
             assert nn._row_ranges(ROWS) == (slice(None),)
-            whole = forward_backward(mlp, x, g_out, first_product)
-            runs[act, first_product] = {"split": split, "pieces": pieces, "whole": whole}
+            whole = forward_backward(mlp, call_input(x, nodes, gather, blocks), g_out)
+            runs[act, blocks] = {"split": split, "pieces": pieces, "whole": whole}
     return runs
 
 
@@ -350,23 +412,30 @@ def runs(tmp_path_factory):
     return runs
 
 
+def row_gradient(gx):
+    """The input gradient's rows: the array's, or the first (ungathered) block's."""
+    return gx[0] if isinstance(gx, list) else gx
+
+
 class TestRowRanges:
     @pytest.mark.parametrize("act", ACTIVATIONS)
-    @pytest.mark.parametrize("first_product", [False, True])
-    def test_rows_equal_sub_range_calls(self, runs, act, first_product):
-        run = runs[act, first_product]
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_rows_equal_sub_range_calls(self, runs, act, blocks):
+        run = runs[act, blocks]
         y, gx, _ = run["split"]
         np.testing.assert_array_equal(y, np.concatenate([p[0] for p in run["pieces"]]))
-        np.testing.assert_array_equal(gx, np.concatenate([p[1] for p in run["pieces"]]))
+        np.testing.assert_array_equal(row_gradient(gx), np.concatenate(
+            [row_gradient(p[1]) for p in run["pieces"]]))
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
-    @pytest.mark.parametrize("first_product", [False, True])
-    def test_everything_equals_the_unsplit_call(self, runs, act, first_product):
-        split, whole = runs[act, first_product]["split"], runs[act, first_product]["whole"]
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_everything_equals_the_unsplit_call(self, runs, act, blocks):
+        split, whole = runs[act, blocks]["split"], runs[act, blocks]["whole"]
         np.testing.assert_array_equal(split[0], whole[0])
-        np.testing.assert_array_equal(split[1], whole[1])
-        for a, b in zip(split[2], whole[2]):
-            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        gxs = [(split[1], whole[1])] if not blocks else list(zip(split[1], whole[1]))
+        assert len(gxs) == (2 if blocks else 1)
+        for a, b in [*gxs, *zip(split[2], whole[2])]:
+            assert a.tobytes() == b.tobytes()
 
     def test_small_calls_and_one_cpu_never_pin(self, monkeypatch):
         pins = []

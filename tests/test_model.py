@@ -523,25 +523,19 @@ class TestFlatParameters:
 def allocating_backward(m, tape, grad_node_out, grad_graph_out):
     """`gnn.backward` as it was before gradients were written in place: every
     gradient array allocated, the vector formed by one concatenate."""
-    def adjoint(w, blocks, sums):
-        lo = np.cumsum([0] + [x.shape[1] for x, _ in blocks])
-        return (np.concatenate([x.T @ g for (x, _), g in zip(blocks, sums)]),
-                [g @ w[a:b].T for g, a, b in zip(sums, lo[:-1], lo[1:])])
-
     cfg, g = m.config, tape[0][0]
     gv = np.zeros((g.num_nodes, cfg.latent_size))
     ge = np.zeros((g.num_edges, cfg.latent_size))
     grads, gy_dn = [], None
     if m.decoder_node is not None:
         dn = m.decoder_node
-        tape_dn, blocks = tape.pop()
+        tape_dn, seg_ids = tape.pop()
         if grad_node_out is None:
             grads.append([np.zeros_like(p) for p in dn.parameters()])
         else:
-            gz, grads_dn = nn.backward(dn, tape_dn, grad_node_out)
-            starts = np.flatnonzero(np.diff(blocks[1][1], prepend=-1))
-            grads_dn[0], (gv_dn, gy_dn) = adjoint(
-                dn.weights[0], blocks, [gz, np.add.reduceat(gz, starts, axis=0)])
+            starts = np.flatnonzero(np.diff(seg_ids, prepend=-1))
+            (gv_dn, gy_dn), grads_dn = nn.backward(
+                dn, tape_dn, grad_node_out, sums=lambda gz: [np.add.reduceat(gz, starts, axis=0)])
             gv += gv_dn
             grads.append(grads_dn)
     tape_dg, segments = tape.pop()
@@ -556,16 +550,14 @@ def allocating_backward(m, tape, grad_node_out, grad_graph_out):
     grads.append(grads_dg)
     send_mat = gnn._incidence(g.senders, g.num_nodes, m.flat.dtype)
     for k in range(cfg.steps - 1, -1, -1):
-        recv_mat, tape_pe, edge_blocks, tape_pn, node_blocks = tape.pop()
+        recv_mat, tape_pe, tape_pn = tape.pop()
         pe, pn = m.processor_edge[k], m.processor_node[k]
-        gz, grads_pn = nn.backward(pn, tape_pn, gv)
-        grads_pn[0], (gv_pn, gagg) = adjoint(pn.weights[0], node_blocks, [gz, gz])
+        (gv_pn, gagg), grads_pn = nn.backward(pn, tape_pn, gv)
         gv = gv + gv_pn
         gue = np.take(gagg, g.receivers, axis=0)
         gue += ge
-        gz, grads_pe = nn.backward(pe, tape_pe, gue)
-        grads_pe[0], (ge_pe, gv_s, gv_r) = adjoint(
-            pe.weights[0], edge_blocks, [gz, send_mat @ gz, recv_mat @ gz])
+        (ge_pe, gv_s, gv_r), grads_pe = nn.backward(
+            pe, tape_pe, gue, sums=lambda gz: [send_mat @ gz, recv_mat @ gz])
         ge += ge_pe
         gv += gv_s
         gv += gv_r
@@ -703,7 +695,9 @@ class TestPrecisionFollowsParameters:
 
         def recording_backward(mlp, tape, grad_output, **kwargs):
             grad_input, grads = mlp_backward(mlp, tape, grad_output, **kwargs)
-            adjoints.extend(g for g in (grad_output, grad_input) if g is not None)
+            adjoints.append(grad_output)            # a list of blocks' gradients, or one
+            adjoints.extend([] if grad_input is None else
+                            grad_input if isinstance(grad_input, list) else [grad_input])
             return grad_input, grads
         monkeypatch.setattr(nn, "backward", recording_backward)
         if node_out is None:
