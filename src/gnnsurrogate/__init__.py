@@ -1,7 +1,7 @@
 """GNN surrogate models for physics simulations on mesh / surface geometry."""
 
 from .graph import (Graph, BatchedGraph, build_from_mesh, build_surface_chain,
-                    merge_batch, extract_segment)
+                    merge_batch)
 from .features import (AirfoilEncoding, FeatureDesignEncoding, Normalizer,
                        encode_edges, encode_nodes_airfoil,
                        encode_nodes_feature_design, compute_node_degree)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Featurizer
 from .features import Normalizer
-from .model import GnnConfig, GnnModel, build_model
+from .model import GnnConfig, GnnModel
 from .training import AdamState, PlateauSchedule
 
 MAGIC = b"GNNSCKPT"
@@ -219,7 +219,7 @@ def load_checkpoint(path):
         _section(sections, name)
 
     try:
-        model = build_model(GnnConfig(**meta["model"]), seed=0)
+        model = GnnModel(GnnConfig(**meta["model"]))
         featurizer = Featurizer(**_entries(meta["featurizer"], Featurizer,
                                            skip=Featurizer.NORMALIZERS))
         has_target_norm = meta["featurizer"]["has_target_norm"]

@@ -84,17 +84,21 @@ def train_configs(path, seed=None):
                 "graph_output_size": 4 if node_level else 1, **model_kw,
                 # accepted, and unused by a graph-level model
                 "node_output_size": model_kw.get("node_output_size", 1) if node_level else None}
-    if seed is not None:
-        train_kw["seed"] = seed
     section = "model"           # whose values the dataclasses below refuse
     try:
         featurizer = Featurizer(**{"encoding_kind": "airfoil", **feat_kw})
         model_cfg = gnn.GnnConfig(node_input_size=featurizer.node_feature_width,
                                   edge_input_size=featurizer.edge_feature_width, **model_kw)
         section = "training"
-        return featurizer, model_cfg, training.TrainConfig(**train_kw, task=task)
+        train_cfg = training.TrainConfig(**train_kw, task=task)
     except ValueError as exc:
         raise ConfigFileError(f"{path}: [{section}] {exc}") from exc
+    if seed is not None:
+        try:
+            train_cfg = dataclasses.replace(train_cfg, seed=seed)
+        except ValueError as exc:   # named by the flag, not by the INI
+            raise ValueError(f"--seed: {str(exc).removeprefix('seed: ')}") from exc
+    return featurizer, model_cfg, train_cfg
 
 
 def _model_settings(featurizer: Featurizer, model_cfg: gnn.GnnConfig) -> dict:

@@ -89,7 +89,8 @@ class BatchedGraph:
 
 def _first_fault(cells, n: int) -> str:
     """The message for the first bad cell, checked in cell order: a cell must
-    be a sequence of >= 2 entries, each an integer node index in [0, n)."""
+    be a sequence of >= 2 entries, each an integer node index in [0, n). A
+    JSON boolean is no index, though Python counts it as an integer."""
     try:
         cells = list(cells)
     except TypeError:
@@ -102,7 +103,7 @@ def _first_fault(cells, n: int) -> str:
         if size < 2:
             return f"cell {ci} has {size} nodes, need >= 2"
         for idx in cell:
-            if not isinstance(idx, numbers.Integral):
+            if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
                 return f"cell {ci} has node index {idx!r}, not an integer"
             if not (0 <= idx < n):
                 return f"cell {ci} references node {idx}, have {n} nodes"
@@ -117,7 +118,7 @@ def _cell_nodes(cells, n: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         lengths = np.fromiter(map(len, cells), np.int64)
         types = set(map(type, chain.from_iterable(cells)))
-        if all(issubclass(t, numbers.Integral) for t in types):
+        if all(issubclass(t, numbers.Integral) and t is not bool for t in types):
             nodes = np.fromiter(chain.from_iterable(cells), np.int64,
                                 count=int(lengths.sum()))
             if (lengths.min(initial=2) >= 2 and nodes.min(initial=0) >= 0
@@ -217,25 +218,3 @@ def merge_batch(graphs: list[Graph]) -> BatchedGraph:
     if ref.graph_target is not None:
         graph_targets = np.stack([g.graph_target for g in graphs], axis=0)
     return BatchedGraph(graph=merged, segments=segments, graph_targets=graph_targets)
-
-
-def extract_segment(batch: BatchedGraph, k: int) -> Graph:
-    """Recover member k of a batch (round trip of merge_batch)."""
-    start, length = batch.segments[k]
-    g = batch.graph
-    mask = (g.receivers >= start) & (g.receivers < start + length)
-
-    def sl(arr):
-        return None if arr is None else arr[start:start + length]
-
-    graph_target = None
-    if batch.graph_targets is not None:
-        graph_target = batch.graph_targets[k]
-    return Graph(
-        positions=g.positions[start:start + length],
-        edges=g.edges[mask] - start,
-        node_features=sl(g.node_features),
-        edge_features=None if g.edge_features is None else g.edge_features[mask],
-        node_targets=sl(g.node_targets),
-        graph_target=graph_target,
-    )

@@ -97,11 +97,13 @@ def _pin_blas_to_one_thread() -> bool:
     if one was. Found through /proc/self/maps, so False where there is none
     (another BLAS, or no /proc).
 
-    The setting covers the whole process and lasts: row ranges then never
-    compete with BLAS threads for the CPUs, and every product, a long
-    reduction such as a weight gradient over all edge rows included, sums in
-    one fixed order whatever OPENBLAS_NUM_THREADS says. The result is cached
-    because the setting is the process's own."""
+    The first split (`_row_ranges`) calls this. The setting covers the whole
+    process and lasts: all of the process's later BLAS work, numpy's and
+    scipy's included, runs on one thread, and nothing undoes it. Row ranges
+    then never compete with BLAS threads for the CPUs, and every product, a
+    long reduction such as a weight gradient over all edge rows included,
+    sums in one fixed order whatever OPENBLAS_NUM_THREADS says. The result
+    is cached because the setting is the process's own."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {fields[5] for fields in map(str.split, fh)

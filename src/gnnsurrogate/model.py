@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -75,43 +77,50 @@ class GnnConfig:
         return cfgs
 
 
-@dataclass
 class GnnModel:
     """MLP blocks whose weights and biases are views into one contiguous
-    vector `flat` in parameters() order; the model computes in flat's dtype.
-    Parameter i is flat[offsets[i]:offsets[i + 1]] reshaped to shapes[i].
-    Writes through a view or into `flat` change the model; nothing may rebind them."""
+    vector `flat` in parameters() order (the MLPs in named_mlps() order, each
+    as W0, b0, W1, b1, ...): parameter i is flat[offsets[i]:offsets[i + 1]]
+    reshaped to shapes[i]. Without `flat` the parameters are float64 zeros;
+    a given vector is used as it is and sets the dtype the model computes
+    in, so GnnModel(m.config, m.flat.astype(np.float32)) is a float32 copy
+    of m. One of another length or a non-floating dtype raises ValueError.
+    Writes through a view or into `flat` change the model; nothing may
+    rebind them."""
 
-    config: GnnConfig
-    encoder_edge: Mlp
-    encoder_node: Mlp
-    processor_edge: list[Mlp]   # one block per step
-    processor_node: list[Mlp]
-    decoder_graph: Mlp
-    decoder_node: Mlp | None = None
-    flat: np.ndarray = field(init=False, repr=False)
-    offsets: list[int] = field(init=False, repr=False)
-    shapes: list[tuple] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        params = [p for m in self.mlps() for p in m.parameters()]
-        self.shapes = [p.shape for p in params]
-        self.offsets = np.cumsum([0] + [p.size for p in params]).tolist()
-        self.flat = np.concatenate([p.ravel() for p in params])
-        views = iter(self.split(self.flat))
-        for m in self.mlps():
-            for k in range(len(m.weights)):
-                m.weights[k] = next(views)
-                m.biases[k] = next(views)
+    def __init__(self, config: GnnConfig, flat: np.ndarray | None = None):
+        cfgs = config.mlp_configs()
+        names = ["encoder_edge", "encoder_node",
+                 *[f"{role}[{k}]" for k in range(config.steps)
+                   for role in ("processor_edge", "processor_node")],
+                 *[role for role in ("decoder_graph", "decoder_node") if role in cfgs]]
+        layout = [cfgs[name.partition("[")[0]] for name in names]
+        self.config = config
+        self.shapes = [shape for cfg in layout for fan_in, fan_out in cfg.layer_sizes()
+                       for shape in ((fan_in, fan_out), (fan_out,))]
+        self.offsets = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
+        if flat is None:
+            try:
+                flat = np.zeros(self.offsets[-1])
+            except ValueError as exc:     # past numpy's largest array: no memory holds it
+                raise MemoryError(f"Unable to allocate {self.offsets[-1]} parameters") from exc
+        elif np.shape(flat) != (self.offsets[-1],) or not np.issubdtype(flat.dtype, np.floating):
+            raise ValueError(f"parameter vector of shape {np.shape(flat)} and dtype {flat.dtype}, "
+                             f"expected floats of shape ({self.offsets[-1]},) for this config")
+        self.flat = flat
+        mlps = [Mlp(cfg, views[0::2], views[1::2])
+                for cfg, views in zip(layout, self.mlp_views(flat))]
+        self._named = list(zip(names, mlps))
+        steps = 2 * config.steps
+        self.encoder_edge, self.encoder_node = mlps[:2]
+        self.processor_edge, self.processor_node = mlps[2:2 + steps:2], mlps[3:2 + steps:2]
+        self.decoder_graph = mlps[2 + steps]
+        self.decoder_node = mlps[3 + steps] if "decoder_node" in cfgs else None
 
     def named_mlps(self) -> list[tuple[str, Mlp]]:
-        out = [("encoder_edge", self.encoder_edge), ("encoder_node", self.encoder_node)]
-        for k, (pe, pn) in enumerate(zip(self.processor_edge, self.processor_node)):
-            out += [(f"processor_edge[{k}]", pe), (f"processor_node[{k}]", pn)]
-        out.append(("decoder_graph", self.decoder_graph))
-        if self.decoder_node is not None:
-            out.append(("decoder_node", self.decoder_node))
-        return out
+        """(name, MLP) in layout order: the encoders, each step's edge and
+        node MLPs, then the decoders."""
+        return list(self._named)
 
     def mlps(self) -> list[Mlp]:
         return [m for _, m in self.named_mlps()]
@@ -130,6 +139,11 @@ class GnnModel:
         return [vector[lo:hi].reshape(shape) for lo, hi, shape
                 in zip(self.offsets[:-1], self.offsets[1:], self.shapes)]
 
+    def mlp_views(self, vector: np.ndarray) -> list[list[np.ndarray]]:
+        """`split(vector)` as one list per MLP, in named_mlps() order."""
+        views, n = self.split(vector), 2 * (self.config.depth + 1)
+        return [views[i:i + n] for i in range(0, len(views), n)]
+
     def flatten(self, values) -> np.ndarray:
         """One array per parameter, in parameters() order, as a new vector
         laid out like `flat`. A wrong count or shape raises ValueError naming
@@ -146,18 +160,17 @@ class GnnModel:
 
 
 def build_model(config: GnnConfig, seed) -> GnnModel:
+    """GnnModel(config) holding `mlp.he_init` draws from one generator seeded
+    with `seed`, taken for the encoders, every step's edge MLP, every step's
+    node MLP and then the decoders."""
     rng = np.random.default_rng(seed)
-    cfgs = config.mlp_configs()
-    return GnnModel(
-        config=config,
-        encoder_edge=nn.he_init(cfgs["encoder_edge"], rng),
-        encoder_node=nn.he_init(cfgs["encoder_node"], rng),
-        processor_edge=[nn.he_init(cfgs["processor_edge"], rng) for _ in range(config.steps)],
-        processor_node=[nn.he_init(cfgs["processor_node"], rng) for _ in range(config.steps)],
-        decoder_graph=nn.he_init(cfgs["decoder_graph"], rng),
-        decoder_node=nn.he_init(cfgs["decoder_node"], rng)
-        if config.node_output_size is not None else None,
-    )
+    model = GnnModel(config)
+    for m in [model.encoder_edge, model.encoder_node, *model.processor_edge,
+              *model.processor_node, model.decoder_graph, model.decoder_node]:
+        if m is not None:
+            for view, drawn in zip(m.parameters(), nn.he_init(m.config, rng).parameters()):
+                view[...] = drawn
+    return model
 
 
 def _as_batch(g) -> BatchedGraph:
@@ -265,11 +278,9 @@ def forward(model: GnnModel, graph_or_batch):
     The tape, for one `backward` to consume, is the stack of the stages'
     entries in the order they ran; a blockwise MLP's tape holds its blocks.
 
-    An MLP call of 4096 rows or more runs in row chunks over the CPUs
-    (`mlp._in_ranges`) and, from then on, holds every OpenBLAS in the
-    process to one thread: all of the process's later BLAS work, numpy's
-    and scipy's included, runs on one thread (`mlp._pin_blas_to_one_thread`);
-    nothing undoes it."""
+    An MLP call of 4096 rows or more runs in row chunks over the CPUs and
+    holds the process's OpenBLAS to one thread for good
+    (`mlp._pin_blas_to_one_thread`)."""
     tape = []
     y_node, y_graph = _run_stages(model, graph_or_batch, tape)
     return y_node, y_graph, tape
@@ -286,8 +297,9 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     incidence products, or the segment sums. An MLP call or first-layer
     block of 4096 rows or more runs its row-wise products and cosine chains
     in row chunks, with its weight-gradient product, bias sum or x.T @ g as
-    one whole job beside them, so no sum over rows changes order; as in
-    `forward`, it holds the process's OpenBLAS to one thread for good."""
+    one whole job beside them, so no sum over rows changes order. As in
+    `forward`, such a call holds the process's OpenBLAS to one thread for
+    good (`mlp._pin_blas_to_one_thread`)."""
     cfg = model.config
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
@@ -296,8 +308,7 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     gv = np.zeros((g.num_nodes, cfg.latent_size), dtype)
     ge = np.zeros((g.num_edges, cfg.latent_size), dtype)
     grad = np.zeros_like(model.flat)
-    views, n = model.split(grad), 2 * (cfg.depth + 1)
-    outs = [views[i:i + n] for i in range(0, len(views), n)]   # per MLP, popped as the tape
+    outs = model.mlp_views(grad)    # per MLP, popped as the tape
 
     gy_dn = None
     if model.decoder_node is not None:
@@ -346,5 +357,5 @@ def predict(model: GnnModel, graph_or_batch):
     """(node-level matrix or None, graph-level matrix (m, d_G)): the stages
     of `forward` without a tape, so each MLP's tape is freed as it returns.
     As in `forward`, an MLP call of 4096 rows or more holds the process's
-    OpenBLAS to one thread for good."""
+    OpenBLAS to one thread for good (`mlp._pin_blas_to_one_thread`)."""
     return _run_stages(model, graph_or_batch, None)

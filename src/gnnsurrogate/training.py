@@ -255,11 +255,9 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
         start_epoch: int = 0) -> TrainLog:
     """Train in place. adam_state/schedule/start_epoch allow resumption.
 
-    On entry, sets the process's glibc malloc policy once
-    (`_keep_step_memory_in_heap`), so that each step's tape comes from the
-    heap and goes back to it; the policy stays after `fit` returns. A batch
-    with an MLP call of 4096 rows or more holds every OpenBLAS in the process
-    to one thread (see `model.forward`), which also stays."""
+    Sets the process's malloc policy for good (`_keep_step_memory_in_heap`),
+    and a batch with an MLP call of 4096 rows or more holds its OpenBLAS to
+    one thread for good (`mlp._pin_blas_to_one_thread`)."""
     if not graphs:
         raise ValueError("empty training set")
     if config.task != mdl.config.task:

@@ -72,6 +72,28 @@ def set_parameters(model, values):
     model.flat[:] = model.flatten(values)
 
 
+def extract_segment(batch, k: int) -> gs.Graph:
+    """Recover member k of a batch (round trip of merge_batch)."""
+    start, length = batch.segments[k]
+    g = batch.graph
+    mask = (g.receivers >= start) & (g.receivers < start + length)
+
+    def sl(arr):
+        return None if arr is None else arr[start:start + length]
+
+    graph_target = None
+    if batch.graph_targets is not None:
+        graph_target = batch.graph_targets[k]
+    return gs.Graph(
+        positions=g.positions[start:start + length],
+        edges=g.edges[mask] - start,
+        node_features=sl(g.node_features),
+        edge_features=None if g.edge_features is None else g.edge_features[mask],
+        node_targets=sl(g.node_targets),
+        graph_target=graph_target,
+    )
+
+
 def validate(graph) -> list[str]:
     """Check a Graph's invariants; returns a list of violation messages.
     An O(E) Python loop, for tests only."""

@@ -365,6 +365,7 @@ class TestBadInvocations:
         "eval_data_holds_no_records": "eval --ckpt {ckpt} --data {empty}",
         "predict_data_holds_no_records": "predict --ckpt {ckpt} --data {empty}",
         "inspect_data_holds_no_records": "inspect --data {empty}",
+        "train_seed_below_zero": "train --config {cfg} --data {data} --out {out} --seed -1",
     }
 
     @pytest.mark.filterwarnings("error")
@@ -389,6 +390,8 @@ class TestBadInvocations:
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         if "{empty}" in self.CASES[case]:
             assert f"{paths['empty']}: holds no records" in err
+        if case == "train_seed_below_zero":      # named by the flag, not the INI
+            assert err == "error: --seed: must be >= 0, got -1\n"
 
 
     def test_a_size_past_memory_exits_2(self, workspace, capsys, monkeypatch):

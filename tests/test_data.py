@@ -8,6 +8,7 @@ from scipy.spatial import QhullError
 
 import gnnsurrogate as gs
 from gnnsurrogate import checkpoint, datasets
+from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
                                      load_checkpoint, save_checkpoint)
@@ -612,6 +613,27 @@ class TestCheckpoint:
         assert again.read_bytes() == path.read_bytes()
         assert all(np.shares_memory(p, m2.flat) for p in m2.parameters())
         assert resume2.adam.m.shape == resume2.adam.v.shape == m2.flat.shape
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        """The model is made from the config and the stored vector: no
+        He-initialized model is drawn only to be overwritten."""
+        m, feat, samples = self.make(seed=4)
+        adam = AdamState.for_parameters(m.parameters())
+        adam.m[:], adam.v[:] = np.random.default_rng(1).normal(size=(2, m.flat.size))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, feat, path, resume=TrainResumeState(
+            adam=adam, schedule=PlateauSchedule(lr=1e-4), epoch=3))
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint drew initial weights")
+        monkeypatch.setattr(nn, "he_init", refuse)
+        m2, _, resume = load_checkpoint(path)
+        np.testing.assert_array_equal(m2.flat, m.flat)
+        for s in samples:
+            assert [a.tobytes() for a in gnn.predict(m2, s.graph)] == \
+                [a.tobytes() for a in gnn.predict(m, s.graph)]
+        np.testing.assert_array_equal(resume.adam.m, adam.m)
+        np.testing.assert_array_equal(resume.adam.v, adam.v)
 
     def test_featurizer_settings_round_trip(self, tmp_path):
         recs = gs.generate_synthetic(gs.SyntheticSpec(seed=2, count=3, min_nodes=5,

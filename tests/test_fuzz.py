@@ -1,9 +1,10 @@
 """Boundary fuzz of the dataset JSONL and the train INI: Hypothesis mutates
-the records of a valid chain file, and every mutation goes through `train`,
-`eval`, `predict` and `inspect`; it also replaces, drops or adds one entry
-of the train INI and runs `train`. Each command must either exit 0 with
-finite outputs or exit 2 with one `error:` line; a traceback, a warning or a
-NaN fails the test."""
+the records of a valid chain file and of a valid mesh (`patch3d`,
+feature-design) file, and every mutation goes through `train`, `eval`,
+`predict` and `inspect`; it also replaces, drops or adds one entry of the
+train INI and runs `train`. Each command must either exit 0 with finite
+outputs or exit 2 with one `error:` line; a traceback, a warning or a NaN
+fails the test."""
 
 import configparser
 import contextlib
@@ -39,6 +40,24 @@ width = 4
 graph_output_size = 2
 node_output_size = 1
 target_mode = zscore
+
+[training]
+epochs = 1
+batch_size = 2
+initial_lr = 5e-4
+seed = 1
+"""
+
+MESH_GEN_INI = GEN_INI.replace("family = chain", "family = patch3d")
+
+MESH_TRAIN_INI = """\
+[model]
+encoding = feature_design
+task = graph_level
+latent_size = 3
+steps = 1
+depth = 1
+width = 4
 
 [training]
 epochs = 1
@@ -120,6 +139,40 @@ def mutations(draw, records):
     return records, index, f"{kind} {key!r} of record {index}"
 
 
+BAD_LABELS = ("pyramid", "", "HEX", 1, None, ["hex"], {"hex": 1})
+MESH_KINDS = ("bad_index", "one_node_cell", "ragged_cells", "unknown_label",
+              "wrong_type_count", "labels_not_a_list")
+
+
+@st.composite
+def mesh_mutations(draw, records, kind):
+    """One copy of `records` (mesh JSON objects) with one record's `cells` or
+    `node_cell_types` made bad in the way `kind` names, and what was done."""
+    records = json.loads(json.dumps(records))
+    index = draw(st.integers(0, len(records) - 1))
+    rec = records[index]
+    n, cells, types = len(rec["positions"]), rec["cells"], rec["node_cell_types"]
+    ci, ni = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, n - 1))
+    if kind == "bad_index":      # out of range, or not an integer
+        cells[ci][draw(st.integers(0, len(cells[ci]) - 1))] = draw(st.sampled_from(
+            [n, n + 7, -1, -n - 1, 10 ** 30, 0.5, 1.0, True, "0", None, [0], 1e308]))
+    elif kind == "one_node_cell":
+        cells[ci] = cells[ci][:1]
+    elif kind == "ragged_cells":
+        cells[ci] = draw(st.sampled_from([[], cells[ci][:2], cells[ci] + [ni], [cells[ci]],
+                                          cells[ci][0], [cells[ci][0], cells[ci][1:]]]))
+    elif kind == "unknown_label":
+        types[ni] = types[ni] + [draw(st.sampled_from(BAD_LABELS))]
+    elif kind == "wrong_type_count":
+        if draw(st.booleans()):
+            types.pop(ni)
+        else:
+            types.append(types[ni])
+    else:
+        types[ni] = draw(st.sampled_from(["hex", None, 3, {}]))
+    return records, index, f"{kind} in record {index}"
+
+
 def _run(argv):
     """(exit code, stdout, stderr) of one command, with every warning an error."""
     out, err = io.StringIO(), io.StringIO()
@@ -139,12 +192,11 @@ def _check_outcome(name, code, err):
     return code == 0
 
 
-@pytest.fixture(scope="module")
-def valid(tmp_path_factory):
-    """(directory, the valid records as JSON objects, a checkpoint trained on them)."""
-    root = tmp_path_factory.mktemp("fuzz")
-    (root / "gen.ini").write_text(GEN_INI)
-    (root / "train.ini").write_text(TRAIN_INI)
+def _valid(root, gen_ini, train_ini):
+    """(directory, header line, the valid records as JSON objects, a
+    checkpoint trained on them) for a gen INI and a train INI."""
+    (root / "gen.ini").write_text(gen_ini)
+    (root / "train.ini").write_text(train_ini)
     data = root / "data.jsonl"
     assert _run(["gen", "--config", root / "gen.ini", "--out", data])[0] == 0
     ckpt = root / "valid.ckpt"
@@ -154,42 +206,69 @@ def valid(tmp_path_factory):
     return root, lines[0], [json.loads(line) for line in lines[1:]], ckpt
 
 
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    return _valid(tmp_path_factory.mktemp("fuzz"), GEN_INI, TRAIN_INI)
+
+
+@pytest.fixture(scope="module")
+def valid_mesh(tmp_path_factory):
+    return _valid(tmp_path_factory.mktemp("fuzz_mesh"), MESH_GEN_INI, MESH_TRAIN_INI)
+
+
+def _check_commands(valid, mutation):
+    """`train` on the mutated records, and `eval`, `predict` and `inspect`
+    with the valid checkpoint."""
+    root, header, _, ckpt = valid
+    mutated, index, what = mutation
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.jsonl"
+        data.write_text("\n".join([header, *(json.dumps(r, ensure_ascii=False)
+                                             for r in mutated)]) + "\n",
+                        encoding="utf-8")
+        out = tmp / "m.ckpt"
+        code, _, err = _run(["train", "--config", root / "train.ini",
+                             "--data", data, "--out", out])
+        if _check_outcome(f"train: {what}", code, err):
+            log = [json.loads(line) for line in (tmp / "m.ckpt.log").read_text().splitlines()]
+            assert all(math.isfinite(rec["loss"]) for rec in log), what
+
+        csv = tmp / "eval.csv"
+        code, stdout, err = _run(["eval", "--ckpt", ckpt, "--data", data, "--csv", csv])
+        if _check_outcome(f"eval: {what}", code, err):
+            assert "nan" not in stdout.lower() and "inf" not in stdout.lower(), what
+            for row in csv.read_text().splitlines()[1:]:
+                assert math.isfinite(float(row.rsplit(",", 1)[1])), (what, row)
+
+        pred = tmp / "pred.csv"
+        code, _, err = _run(["predict", "--ckpt", ckpt, "--data", data,
+                             "--index", index, "--out", pred])
+        if _check_outcome(f"predict: {what}", code, err):
+            rows = pred.read_text().splitlines()[1:]
+            assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows), what
+
+        code, _, err = _run(["inspect", "--data", data])
+        _check_outcome(f"inspect: {what}", code, err)
+
+
 def test_mutated_records_exit_0_with_finite_outputs_or_2_with_one_line(valid):
-    root, header, records, ckpt = valid
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(mutations(records))
+    @given(mutations(valid[2]))
     def check(mutation):
-        mutated, index, what = mutation
-        with tempfile.TemporaryDirectory(dir=root) as tmp:
-            tmp = Path(tmp)
-            data = tmp / "data.jsonl"
-            data.write_text("\n".join([header, *(json.dumps(r, ensure_ascii=False)
-                                                 for r in mutated)]) + "\n",
-                            encoding="utf-8")
-            out = tmp / "m.ckpt"
-            code, _, err = _run(["train", "--config", root / "train.ini",
-                                 "--data", data, "--out", out])
-            if _check_outcome(f"train: {what}", code, err):
-                log = [json.loads(line) for line in (tmp / "m.ckpt.log").read_text().splitlines()]
-                assert all(math.isfinite(rec["loss"]) for rec in log), what
+        _check_commands(valid, mutation)
 
-            csv = tmp / "eval.csv"
-            code, stdout, err = _run(["eval", "--ckpt", ckpt, "--data", data, "--csv", csv])
-            if _check_outcome(f"eval: {what}", code, err):
-                assert "nan" not in stdout.lower() and "inf" not in stdout.lower(), what
-                for row in csv.read_text().splitlines()[1:]:
-                    assert math.isfinite(float(row.rsplit(",", 1)[1])), (what, row)
+    check()
 
-            pred = tmp / "pred.csv"
-            code, _, err = _run(["predict", "--ckpt", ckpt, "--data", data,
-                                 "--index", index, "--out", pred])
-            if _check_outcome(f"predict: {what}", code, err):
-                rows = pred.read_text().splitlines()[1:]
-                assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows), what
 
-            code, _, err = _run(["inspect", "--data", data])
-            _check_outcome(f"inspect: {what}", code, err)
+@pytest.mark.parametrize("kind", MESH_KINDS + ("any_key",))
+def test_mutated_mesh_records_exit_0_with_finite_outputs_or_2_with_one_line(valid_mesh, kind):
+    records = valid_mesh[2]
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(mutations(records) if kind == "any_key" else mesh_mutations(records, kind))
+    def check(mutation):
+        _check_commands(valid_mesh, mutation)
 
     check()
 
@@ -230,7 +309,7 @@ def ini_edits(draw):
 
 
 def test_edited_train_ini_exits_0_with_finite_losses_or_2_with_one_line(valid):
-    root, _, _, _ = valid
+    root = valid[0]
     data = root / "data.jsonl"
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnnsurrogate as gs
-from gnnsurrogate.graph import (IncompatibleGraphsError, InvalidChainError,
-                                InvalidMeshError, extract_segment)
-from conftest import validate
+from gnnsurrogate.graph import IncompatibleGraphsError, InvalidChainError, InvalidMeshError
+from conftest import extract_segment, validate
 
 
 def edge_set(graph):
@@ -116,6 +115,7 @@ class TestBuildFromMesh:
         ([4], r"^cell 0 is 4, not a list of node indices$"),
         (3, r"^cells is 3, not a list of cells$"),
         ([(0, 2 ** 70)], r"^cell 0 references node 1180591620717411303424, have 3 nodes$"),
+        ([(0, True, 2)], r"^cell 0 has node index True, not an integer$"),
     ])
     def test_malformed_cells_named(self, cells, message):
         with pytest.raises(InvalidMeshError, match=message):

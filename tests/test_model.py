@@ -9,7 +9,7 @@ import gnnsurrogate as gs
 from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.graph import merge_batch
-from conftest import (cast_mlp, featurized_samples, mlp_forward, run_python, set_parameters,
+from conftest import (featurized_samples, mlp_forward, run_python, set_parameters,
                       tiny_config, zero_final_layer)
 
 
@@ -511,6 +511,33 @@ class TestFlatParameters:
         with pytest.raises(ValueError, match="expected 48 parameter arrays, got 47"):
             set_parameters(m, values[:-1])
 
+    def test_a_given_vector_is_the_models_own(self, rng):
+        m, g = gnn.build_model(tiny_config(), 6), make_featurized(rng)
+        flat = m.flat.astype(np.float32)
+        m32 = gnn.GnnModel(m.config, flat)
+        assert m32.flat is flat and m32.shapes == m.shapes and m32.offsets == m.offsets
+        assert all(p.base is flat for mlp in m32.mlps() for p in mlp.parameters())
+        np.testing.assert_allclose(gnn.predict(m32, g)[0], gnn.predict(m, g)[0], rtol=1e-4)
+        copy = gnn.GnnModel(m.config, m.flat.copy())
+        assert [a.tobytes() for a in gnn.predict(copy, g)] == \
+            [a.tobytes() for a in gnn.predict(m, g)]
+
+    def test_without_a_vector_every_parameter_is_a_float64_zero(self):
+        m = gnn.GnnModel(tiny_config(node_out=None, graph_out=1))
+        assert m.flat.dtype == np.float64 and not m.flat.any() and m.decoder_node is None
+        assert m.shapes == gnn.build_model(m.config, 0).shapes
+
+    @pytest.mark.parametrize("edit", ["shorter", "longer", "empty", "two_rows", "integers"])
+    def test_a_vector_of_another_shape_or_dtype_raises(self, edit):
+        cfg = tiny_config()
+        size = gnn.build_model(cfg, 0).flat.size
+        flat = {"shorter": np.zeros(size - 1), "longer": np.zeros(size + 1),
+                "empty": np.zeros(0), "two_rows": np.zeros((2, size)),
+                "integers": np.zeros(size, np.int64)}[edit]
+        with pytest.raises(ValueError, match=rf"parameter vector .*expected floats of shape "
+                                             rf"\({size},\)"):
+            gnn.GnnModel(cfg, flat)
+
     def test_backward_is_laid_out_like_the_vector(self, rng):
         m = gnn.build_model(tiny_config(), 4)
         batch = merge_batch([make_featurized(rng)])
@@ -635,18 +662,6 @@ class TestSingleUseTape:
         np.testing.assert_array_equal(got, want)
 
 
-def cast_mlps(m, dtype):
-    """A model of m's config whose every MLP holds m's parameters cast to `dtype`."""
-    def cast(mlp):
-        return cast_mlp(mlp, dtype)
-    return gnn.GnnModel(
-        config=m.config, encoder_edge=cast(m.encoder_edge), encoder_node=cast(m.encoder_node),
-        processor_edge=[cast(p) for p in m.processor_edge],
-        processor_node=[cast(p) for p in m.processor_node],
-        decoder_graph=cast(m.decoder_graph),
-        decoder_node=None if m.decoder_node is None else cast(m.decoder_node))
-
-
 def floating_arrays(obj):
     """Every floating ndarray or sparse matrix in nested lists and tuples."""
     if isinstance(obj, (list, tuple)):
@@ -658,8 +673,8 @@ def floating_arrays(obj):
 
 
 class TestPrecisionFollowsParameters:
-    """A model computes in its parameters' dtype: with every MLP cast to
-    float32, nothing on the training path widens to float64."""
+    """A model computes in its parameters' dtype: made from its parameter
+    vector cast to float32, nothing on the training path widens to float64."""
 
     # Largest |float32 - float64| forward output over the largest float64
     # output. Over 10 model seeds of these configs the worst seen was 6e-7 at
@@ -677,7 +692,7 @@ class TestPrecisionFollowsParameters:
                           latent=8, steps=3, depth=2, width=16, node_out=node_out,
                           graph_out=3 if node_out else 1, sine_frequency=freq)
         m64 = gnn.build_model(cfg, 5)
-        m = cast_mlps(m64, np.float32)
+        m = gnn.GnnModel(cfg, m64.flat.astype(np.float32))
         assert m.flat.dtype == np.float32
 
         y_node, y_graph, tape = gnn.forward(m, batch)

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import gnnsurrogate as gs
 from gnnsurrogate.datasets import DEFAULT_CELL_TYPES
-from gnnsurrogate.graph import extract_segment
+from conftest import extract_segment
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

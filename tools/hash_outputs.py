@@ -1,12 +1,16 @@
 """Print sha256 prefixes of what a source tree computes, to check that a
 change leaves its outputs bit-identical.
 
-    python3 tools/hash_outputs.py --root ../parent --seed 21
+    python3 tools/hash_outputs.py --root ../parent --seed 21 > parent.json
+    python3 tools/hash_outputs.py --root . --seed 21 --expect parent.json
 
 The tree's own `src/` package and `benchmarks/` modules are imported, so
 running this once per tree (say, an unpacked `git archive` of the parent
-commit and the working tree) gives two JSON lines to compare. It hashes, for
-each train workload W of the benchmark:
+commit and the working tree) gives two JSON lines to compare. With
+`--expect FILE`, a JSON line saved from an earlier run, the tool also
+compares: it names on stderr each key whose hash differs or that only one
+side has, and exits 1 if there is any. It hashes, for each train workload W
+of the benchmark:
 
 - `featurize/W`: the featurized train samples (`Featurizer.fit`, then
   `transform_all`, through the benchmark's set-up) and the fitted
@@ -170,12 +174,30 @@ def cli_hashes(encoding: str, seed: int, workdir: Path) -> dict:
             for run in runs}
 
 
-def main(argv=None):
+def differences(got: dict, expected: dict) -> list[str]:
+    """One line per key, in sorted order, whose hash differs between `got`
+    and `expected` or that only one of them has."""
+    lines = []
+    for key in sorted(got.keys() | expected.keys()):
+        if key not in got:
+            lines.append(f"{key}: missing from this run")
+        elif key not in expected:
+            lines.append(f"{key}: missing from the expected file")
+        elif got[key] != expected[key]:
+            lines.append(f"{key}: {got[key]}, expected {expected[key]}")
+    return lines
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", required=True, type=Path,
                         help="source tree holding src/gnnsurrogate and benchmarks/")
     parser.add_argument("--seed", type=int, default=21, help="benchmark data seed")
+    parser.add_argument("--expect", type=Path, default=None,
+                        help="JSON line of an earlier run to compare against; "
+                             "exit 1 naming each differing or missing key")
     args = parser.parse_args(argv)
+    expected = None if args.expect is None else json.loads(args.expect.read_text())
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
     import gnnsurrogate
@@ -190,7 +212,13 @@ def main(argv=None):
         for encoding in CLI_RUNS:
             hashes.update(cli_hashes(encoding, args.seed, Path(tmp) / encoding))
     print(json.dumps(hashes, sort_keys=True))
+    if expected is None:
+        return 0
+    lines = differences(hashes, expected)
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
