@@ -152,6 +152,11 @@ def cmd_train(args) -> int:
         state = ckpt.TrainResumeState(adam=training.AdamState.for_parameters(model.parameters()),
                                       schedule=train_cfg.plateau_schedule(), epoch=0)
 
+    target = "node_target" if train_cfg.task == "node_level" else "graph_target"
+    for s in samples:
+        if getattr(s, f"{target}_physical") is None:
+            raise DatasetFormatError(f"record {s.graph_id}: has no {target}, which "
+                                     f"{train_cfg.task} training needs")
     graphs = [s.graph for s in samples]
     log = training.fit(model, graphs, train_cfg, adam_state=state.adam,
                        schedule=state.schedule, start_epoch=state.epoch)

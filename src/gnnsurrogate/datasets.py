@@ -4,7 +4,7 @@ featurization pipeline turning records into model-ready graphs."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -491,12 +491,9 @@ class Featurizer:
                 node_targets = normed[:, None]
             else:
                 node_targets = target_phys
-        graph = topo.with_features(
-            node_features=self.node_norm.apply(nf),
-            edge_features=self.edge_norm.apply(ef),
-            node_targets=node_targets,
-            graph_target=rec.graph_target,
-        )
+        graph = replace(topo, node_features=self.node_norm.apply(nf),
+                        edge_features=self.edge_norm.apply(ef),
+                        node_targets=node_targets, graph_target=rec.graph_target)
         return Sample(graph_id=rec.graph_id, graph=graph,
                       node_target_physical=target_phys,
                       graph_target_physical=rec.graph_target,

@@ -148,7 +148,9 @@ def _in_ranges(task, ranges: tuple[slice, ...], *arrays, beside=()):
     _WORKERS - 1 pool workers (the pool is made here, at the first split)
     take in order. Once a job raises, no further job starts, and the first
     exception is raised after every started job has finished. One range
-    runs the `beside` tasks and then task(*arrays) on the calling thread."""
+    runs the `beside` tasks and then task(*arrays) on the calling thread,
+    with no queue and no pool: an unsplit `backward` runs every layer
+    through here at the cost of a call."""
     global _pool
     if len(ranges) == 1:
         for job in beside:
@@ -187,98 +189,72 @@ def forward_tape(mlp: Mlp, x):
     `x` is an array of rows, or a list of blocks (array, rows) standing for
     the column concatenation of array[rows] (of the array when rows is
     None), never formed: each block meets its rows of W0 before any gather,
-    so a node-side block of an edge MLP costs a product over nodes. The tape
-    is (hs, zs): hs[k] is layer k's input (`x` for k = 0) and zs[k] its
+    so a gathered block's product runs once over its array (the nodes, for
+    a node-side block of an edge MLP) and is then taken by its rows. The
+    tape is (hs, zs): hs[k] is layer k's input (`x` for k = 0) and zs[k] its
     pre-activation, held as w0*z for sine layers so that backward takes the
     cosine of it directly. Every array takes the weights' dtype: an array
-    `x` is cast to it, and blocks (the graph model's latents) are in it. A
-    call of at least 2 * 2048 rows runs in row chunks (`_row_ranges`), each
-    chunk's first-layer rows and then every layer as one job of
-    `_in_ranges`'s queue, with the bits of the whole call."""
-    cfg, blocks = mlp.config, x if isinstance(x, list) else None
-    if blocks:
-        a, rows = blocks[0]
-        width, n = sum([a.shape[1] for a, _ in blocks]), len(a if rows is None else rows)
+    `x` is cast to it, and blocks (the graph model's latents) are in it.
+
+    One layer body runs every call. An unsplit call runs it once, and its
+    ufuncs make each layer's arrays. A call of at least 2 * 2048 rows
+    (`_row_ranges`) makes every layer's arrays first, the linear head's
+    output being its z, and runs the body on each row chunk as one job of
+    `_in_ranges`'s queue, writing the chunk's rows with the bits of the
+    unsplit call."""
+    cfg = mlp.config
+    if isinstance(x, list):
+        blocks = x
     else:
         x = np.atleast_2d(np.asarray(x, dtype=mlp.weights[0].dtype))
-        width, n = x.shape[1], len(x)
+        blocks = [(x, None)]
+    width = sum([a.shape[1] for a, _ in blocks])
     if width != cfg.input_size:
         raise ValueError(f"input width {width}, expected {cfg.input_size}")
-    ranges = _row_ranges(n)
-    if len(ranges) > 1:
-        return _forward_in_ranges(mlp, x, blocks or [(x, None)], ranges)
-    if blocks is None:
-        z = x @ mlp.weights[0]
-    else:
-        z, lo = None, 0
-        for a, rows in blocks:
-            hi = lo + a.shape[1]
-            p = a @ mlp.weights[0][lo:hi]
-            if rows is not None:
-                p = np.take(p, rows, axis=0)
-            if z is None:
-                z = p
-            else:
-                z += p
-            lo = hi
-    w0 = cfg.sine_frequency
-    hs, zs = [x], []    # layer inputs; pre-activations (times w0 for sine layers)
-    last = len(mlp.weights) - 1
-    for k, b in enumerate(mlp.biases):
-        if k > 0:
-            z = h @ mlp.weights[k]
-        z += b
-        if k < last or cfg.output_activation == "sine":
-            z *= w0
-            h = np.sin(z)
-        elif cfg.output_activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-        zs.append(z)
-        hs.append(h)
-    return h, (hs, zs)
+    w0, last, act = cfg.sine_frequency, len(mlp.weights) - 1, cfg.output_activation
+    firsts, parts, lo = [], [], 0   # per block: its rows of W0 and its product when gathered
+    for a, rows in blocks:
+        wb = mlp.weights[0][lo:lo + a.shape[1]]
+        lo += a.shape[1]
+        firsts.append((wb, None if rows is None else a @ wb))
+        parts.append(a if rows is None else rows)
+    unsplit = (None,) * (2 * last + 2)
 
-
-def _forward_in_ranges(mlp: Mlp, x, blocks, ranges):
-    """`forward_tape` with every layer's arrays made whole first and each
-    row chunk run through all layers by one task. A gathered block's
-    product runs over its whole array before the chunks; each chunk then
-    adds up its rows of the blocks in order, as the whole call does."""
-    cfg = mlp.config
-    w0, last = cfg.sine_frequency, len(mlp.weights) - 1
-    rows = ranges[-1].stop
-    sine = [k < last or cfg.output_activation == "sine" for k in range(last + 1)]
-    bounds = [0, *itertools.accumulate(a.shape[1] for a, _ in blocks)]
-    wbs = [mlp.weights[0][lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    sides = [None if r is None else a @ wb for (a, r), wb in zip(blocks, wbs)]
-    zs = [np.empty((rows, w.shape[1]), w.dtype) for w in mlp.weights]
-    hs = [x] + [np.empty_like(z) if sine[k] or cfg.output_activation == "relu" else z
-                for k, z in enumerate(zs)]
-
-    def task(*parts):     # per block its rows (or gather indices), then each layer's z and output
-        h, layers = None, parts[len(blocks):]
-        for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            z, out = layers[2 * k], layers[2 * k + 1]
+    def task(*arrays):    # per block its rows (or gather indices), then each layer's z and output
+        outs = arrays[len(parts):] or unsplit
+        hs, zs = [x], []    # layer inputs; pre-activations (times w0 for sine layers)
+        for k, b in enumerate(mlp.biases):
             if k:
-                np.matmul(h, w, out=z)
-            else:
-                for i, (part, side, wb) in enumerate(zip(parts, sides, wbs)):
-                    first = z if i == 0 else None
-                    p = (np.matmul(part, wb, out=first) if side is None
-                         else np.take(side, part, axis=0, out=first))
-                    if i:
+                z = np.matmul(h, mlp.weights[k], out=outs[2 * k])
+            else:               # the blocks' products, added up in order
+                z = None
+                for part, (wb, side) in zip(arrays, firsts):
+                    out = outs[0] if z is None else None
+                    p = (np.matmul(part, wb, out=out) if side is None
+                         else np.take(side, part, axis=0, out=out))
+                    if z is None:
+                        z = p
+                    else:
                         z += p
             z += b
-            if sine[k]:
+            if k < last or act == "sine":
                 z *= w0
-                np.sin(z, out=out)
-            elif cfg.output_activation == "relu":
-                np.maximum(z, 0.0, out=out)
-            h = out
+                h = np.sin(z, out=outs[2 * k + 1])
+            elif act == "relu":
+                h = np.maximum(z, 0.0, out=outs[2 * k + 1])
+            else:
+                h = z
+            zs.append(z)
+            hs.append(h)
+        return h, (hs, zs)
 
-    layers = [a for z, out in zip(zs, hs[1:]) for a in (z, out)]
-    _in_ranges(task, ranges, *(a if r is None else r for a, r in blocks), *layers)
+    ranges = _row_ranges(len(parts[0]))
+    if len(ranges) == 1:
+        return task(*parts)
+    zs = [np.empty((ranges[-1].stop, w.shape[1]), w.dtype) for w in mlp.weights]
+    hs = [x] + [z if k == last and act == "linear" else np.empty_like(z)
+                for k, z in enumerate(zs)]
+    _in_ranges(task, ranges, *parts, *(a for z, h in zip(zs, hs[1:]) for a in (z, h)))
     return hs[-1], (hs, zs)
 
 
@@ -303,13 +279,14 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
 
     The tape is single-use: its layers are popped and overwritten, so a
     second backward on it raises RuntimeError; the input and grad_output
-    (cast to the weights' dtype) are only read. A call of at least
-    2 * 2048 rows runs each layer's input-gradient product and the cosine
-    chain of the layer below in row chunks (`_row_ranges`); the layer's
-    weight-gradient product and bias sum run whole, as one job beside those
-    chunks (`_in_ranges`), so every sum over rows keeps the order of the
-    unsplit call. The first layer does so block by block, each block split
-    by its own gradient's rows."""
+    (cast to the weights' dtype) are only read. Every layer runs through
+    `_in_ranges`: its weight-gradient product and bias sum run whole, as the
+    `beside` job, and its input-gradient product and the cosine chain of the
+    layer below run over the row ranges of the call (`_row_ranges`: one
+    below 2 * 2048 rows, else chunks beside that job), so every sum over
+    rows keeps the order of the unsplit call. The first layer does so block
+    by block, each block's ranges those of its own gradient's rows, and
+    with `input_grad` False runs only the weight-gradient job."""
     if tape is None or len(tape[1]) != len(mlp.weights):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
@@ -323,7 +300,6 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
                    if out is None else out)
     hs.pop()                                # the output
     ranges = _row_ranges(len(g))
-    whole = len(ranges) == 1
 
     def weight_grads(k, h, gz):             # layer k's, over every row at once
         param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
@@ -339,12 +315,8 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
         gz = g
     for k in range(len(mlp.weights) - 1, 0, -1):
         h, wt, z = hs.pop(), mlp.weights[k].T, zs.pop()
-        if whole:                           # hs[k] is dead once gW is formed
-            weight_grads(k, h, gz)
-            _cos_chain(z, np.matmul(gz, wt, out=h), w0)
-        else:                               # gW still reads hs[k]: chunk-sized products
-            _in_ranges(lambda gz, z: _cos_chain(z, gz @ wt, w0), ranges, gz, z,
-                       beside=(lambda: weight_grads(k, h, gz),))
+        _in_ranges(lambda gz, z: _cos_chain(z, gz @ wt, w0), ranges, gz, z,
+                   beside=(lambda: weight_grads(k, h, gz),))
         gz = z
     x = hs.pop()
     block_sums = iter(() if sums is None else sums(gz))
@@ -355,13 +327,9 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
         wb, gwb = mlp.weights[0][lo:hi], param_grads[0][lo:hi]
         lo = hi
         gb = gz if rows is None else next(block_sums)   # gz summed onto a's rows
-        ranges = _row_ranges(len(gb)) if input_grad else _WHOLE
-        if len(ranges) == 1:
-            np.matmul(a.T, gb, out=gwb)
-            gxs.append(gb @ wb.T if input_grad else None)
-            continue
-        gx = np.empty((len(gb), wb.shape[0]), gb.dtype)
-        _in_ranges(lambda gb, gx: np.matmul(gb, wb.T, out=gx), ranges, gb, gx,
+        gx = np.empty((len(gb), wb.shape[0]), gb.dtype) if input_grad else None
+        _in_ranges(lambda gb, gx: gx is None or np.matmul(gb, wb.T, out=gx),
+                   _row_ranges(len(gb)) if input_grad else _WHOLE, gb, gx,
                    beside=(lambda: np.matmul(a.T, gb, out=gwb),))
         gxs.append(gx)
     return ((gxs if isinstance(x, list) else gxs[0]) if input_grad else None), param_grads

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,6 +254,8 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
         schedule: PlateauSchedule | None = None,
         start_epoch: int = 0) -> TrainLog:
     """Train in place. adam_state/schedule/start_epoch allow resumption.
+    A batch carries only the target its task trains on, so graphs may
+    differ in the other one (a node-level graph may lack graph_target).
 
     Sets the process's malloc policy for good (`_keep_step_memory_in_heap`),
     and a batch with an MLP call of 4096 rows or more holds its OpenBLAS to
@@ -264,6 +266,8 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
         raise ValueError(f"TrainConfig task {config.task!r} does not match the "
                          f"model's task {mdl.config.task!r}")
     _keep_step_memory_in_heap()
+    unused = "graph_target" if config.task == "node_level" else "node_targets"
+    graphs = [replace(g, **{unused: None}) for g in graphs]
     if adam_state is None:
         adam_state = AdamState.for_parameters(mdl.parameters())
     if schedule is None:

@@ -343,6 +343,39 @@ class TestBadRecords:
         assert "Traceback" not in err
 
 
+class TestTaskTargets:
+    """A record may lack the target its task never reads; one lacking the
+    target its task trains on is named."""
+
+    @pytest.mark.parametrize("field, task, batch_size, message", [
+        ("node_target", "graph_level", 4, None),
+        ("graph_target", "node_level", 4, None),
+        ("node_target", "node_level", 1,
+         "error: record {id}: has no node_target, which node_level training needs\n"),
+    ], ids=["graph_level_without_node_target", "node_level_without_graph_target",
+            "node_level_without_node_target"])
+    def test_train(self, tmp_path, capsys, field, task, batch_size, message):
+        recs = gs.generate_synthetic(gs.SyntheticSpec(seed=9, count=6, min_nodes=6,
+                                                      max_nodes=9, family="patch3d"))
+        data = tmp_path / "mesh.jsonl"
+        gs.write_dataset(recs, data)
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[3])   # record 2, after the header
+        del rec[field]
+        lines[3] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "mesh.ini"
+        cfg.write_text(TRAIN_INI.replace("encoding = airfoil", "encoding = feature_design")
+                       .replace("task = node_level", f"task = {task}")
+                       .replace("batch_size = 4", f"batch_size = {batch_size}")
+                       .replace("graph_output_size = 3", "graph_output_size = 1"))
+        capsys.readouterr()
+        rc = cli_main(["train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "mesh.ckpt")])
+        err = capsys.readouterr().err
+        assert (rc, err) == ((0, "") if message is None else (2, message.format(id=rec["id"])))
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("training started before the bad input was refused")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,15 +214,15 @@ class TestValidate:
 
     def test_feature_row_mismatch(self):
         g = gs.build_surface_chain(np.zeros((3, 2)))
-        g = g.with_features(node_features=np.zeros((2, 4)))
+        g = replace(g, node_features=np.zeros((2, 4)))
         assert any("node_features" in v for v in validate(g))
 
 
 class TestMergeBatch:
     def make(self, n, offset=0.0, width=2):
         g = gs.build_surface_chain(np.full((n, 2), offset))
-        return g.with_features(node_features=np.random.rand(n, width),
-                               edge_features=np.random.rand(g.num_edges, 3))
+        return replace(g, node_features=np.random.rand(n, width),
+                       edge_features=np.random.rand(g.num_edges, 3))
 
     def test_index_offset(self):
         batch = gs.merge_batch([self.make(2), self.make(3)])
@@ -244,8 +246,8 @@ class TestMergeBatch:
             gs.merge_batch([self.make(2, width=2), self.make(3, width=5)])
 
     def test_mismatched_graph_target_widths_named(self):
-        a = self.make(2).with_features(graph_target=np.zeros(1))
-        b = self.make(3).with_features(graph_target=np.zeros(2))
+        a = replace(self.make(2), graph_target=np.zeros(1))
+        b = replace(self.make(3), graph_target=np.zeros(2))
         with pytest.raises(IncompatibleGraphsError,
                            match=r"graph_target width: \(1,\) and \(2,\)"):
             gs.merge_batch([a, b])

@@ -505,3 +505,38 @@ class TestRowRanges:
         nn._in_ranges(lambda o: np.add(o, 1.0, out=o), ranges, out,
                       beside=(lambda: ran.append(1),))
         assert out.tolist() == [1.0] * 6 and ran == [1]
+
+
+# Every layer of an unsplit backward runs through `_in_ranges`, whose one-range
+# case must stay a plain call: a chain fit and predict, and a single mesh's
+# predict below 2 * 2048 rows, make no pool, load no executor and never pin
+# OpenBLAS. The CPU count is taken as two, so that only the row counts keep
+# the calls whole; a child interpreter, so no earlier test's split counts.
+UNSPLIT_SCRIPT = """
+import sys
+from gnnsurrogate import mlp as nn
+from gnnsurrogate import model as gnn
+from gnnsurrogate import training
+from conftest import featurized_samples, tiny_config
+
+pins, pin = [], nn._pin_blas_to_one_thread
+nn._pin_blas_to_one_thread = lambda: pins.append(1) or pin()
+nn._WORKERS = 2
+feat, samples = featurized_samples(4, 12, family="chain")
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width), 0)
+training.fit(m, [s.graph for s in samples], training.TrainConfig(epochs=2, batch_size=4))
+for s in samples:
+    gnn.predict(m, s.graph)
+feat, samples = featurized_samples(5, 1, min_nodes=500, max_nodes=520, family="patch3d")
+graph = samples[0].graph
+assert 2048 < graph.num_edges < 4096, graph.num_edges
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width, node_out=None), 0)
+gnn.predict(m, graph)
+print(nn._pool is None, "concurrent.futures.thread" in sys.modules, len(pins))
+"""
+
+
+def test_an_unsplit_process_makes_no_pool_and_never_pins():
+    assert run_python(UNSPLIT_SCRIPT).split() == ["True", "False", "0"]

@@ -1,4 +1,5 @@
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ def make_featurized(rng, n=5, node_in=6, edge_in=3, with_chain=True):
     else:
         g = gs.build_from_mesh(rng.uniform(0, 1, (n, 3)),
                                [tuple(rng.choice(n, 3, replace=False)) for _ in range(n)])
-    return g.with_features(node_features=rng.normal(size=(n, node_in)),
-                           edge_features=rng.normal(size=(g.num_edges, edge_in)),
-                           node_targets=rng.normal(size=(n, 1)),
-                           graph_target=rng.normal(size=1))
+    return replace(g, node_features=rng.normal(size=(n, node_in)),
+                   edge_features=rng.normal(size=(g.num_edges, edge_in)),
+                   node_targets=rng.normal(size=(n, 1)),
+                   graph_target=rng.normal(size=1))
 
 
 def permute_graph(g, perm):
@@ -42,7 +43,7 @@ class TestEncode:
         g = make_featurized(rng)
         nf = g.node_features.copy()
         nf[1] = nf[0]
-        g = g.with_features(node_features=nf)
+        g = replace(g, node_features=nf)
         m = gnn.build_model(tiny_config(), 0)
         v, e = gnn.encode(m, g)
         np.testing.assert_array_equal(v[0], v[1])
@@ -238,12 +239,12 @@ class TestPredict:
         m = gnn.build_model(tiny_config(steps=L), 13)
         zero_final_layer(m.decoder_graph)
         g = make_featurized(rng, n=n)
-        g = gs.build_surface_chain(g.positions[:n]).with_features(
-            node_features=g.node_features, edge_features=rng.normal(size=(2 * (n - 1), 3)))
+        g = replace(gs.build_surface_chain(g.positions[:n]), node_features=g.node_features,
+                    edge_features=rng.normal(size=(2 * (n - 1), 3)))
         y0, _ = gnn.predict(m, g)
         nf = g.node_features.copy()
         nf[0] += 10.0
-        y1, _ = gnn.predict(m, g.with_features(node_features=nf))
+        y1, _ = gnn.predict(m, replace(g, node_features=nf))
         assert abs(y1[-1, 0] - y0[-1, 0]) <= 1e-12
         assert abs(y1[L, 0] - y0[L, 0]) > 1e-8  # within reach it does change
 

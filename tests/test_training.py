@@ -1,6 +1,7 @@
 import copy
 import ctypes
 import platform
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -191,7 +192,7 @@ class TestFit:
         graphs = [s.graph for s in samples]
         ef = graphs[1].edge_features.copy()
         ef[2, 1] = np.nan
-        graphs[1] = graphs[1].with_features(edge_features=ef)
+        graphs[1] = replace(graphs[1], edge_features=ef)
         m = gnn.build_model(tiny_config(), 0)
         with pytest.raises(tr.TrainingDivergedError,
                            match=r"batch 0; first non-finite gradient in encoder_edge W0$"):
