@@ -9,6 +9,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from . import evaluation, training
 from . import model as gnn
@@ -27,6 +29,10 @@ _DERIVED = {"node_input_size", "edge_input_size", "task", *Featurizer.NORMALIZER
 # a field's annotation, less any "| None" -> the section method converting it
 _GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean",
             "str": "get", "tuple": "gettuple"}
+# the largest magnitude a normalized input feature of eval, predict or train
+# --resume may take: beyond it a record lies far outside the data the
+# checkpoint's normalizers were fitted on, and its prediction means nothing
+_FEATURE_LIMIT = 1e6
 
 
 def _load_ini(path) -> configparser.ConfigParser:
@@ -120,6 +126,23 @@ def _read_records(path) -> list:
     return records
 
 
+def _in_range(samples: list) -> list:
+    """`samples`, once every one's normalized node and edge features lie
+    within +-_FEATURE_LIMIT; else DatasetFormatError naming the first record
+    and array that do not. Checked here, on the records a fitted checkpoint
+    meets, rather than in `Featurizer.transform`, which also runs on every
+    record of a fresh training set."""
+    for s in samples:
+        for name in ("node_features", "edge_features"):
+            peak = np.max(np.abs(getattr(s.graph, name)), initial=0.0)
+            if peak > _FEATURE_LIMIT:
+                raise DatasetFormatError(
+                    f"record {s.graph_id}: normalized {name} reach magnitude {peak:.3g}, "
+                    f"above {_FEATURE_LIMIT:g}: far outside the data the checkpoint's "
+                    f"normalizers were fitted on")
+    return samples
+
+
 def cmd_gen(args) -> int:
     spec = synthetic_spec(args.config)
     records = generate_synthetic(spec)
@@ -145,7 +168,7 @@ def cmd_train(args) -> int:
             if ini_settings[key] != value:
                 raise ConfigFileError(f"{args.config}: [model] {key}: {ini_settings[key]!r}, "
                                       f"but checkpoint {args.resume} has {value!r}")
-        samples = featurizer.transform_all(records)
+        samples = _in_range(featurizer.transform_all(records))
     else:
         samples = featurizer.fit_transform(records)
         model = gnn.build_model(model_cfg, seed=train_cfg.seed)
@@ -175,7 +198,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, featurizer, _ = ckpt.load_checkpoint(args.ckpt)
     records = _read_records(args.data)
-    samples = featurizer.transform_all(records)
+    samples = _in_range(featurizer.transform_all(records))
     if model.config.task == "node_level":
         report = evaluation.evaluate_node_level(model, samples, split=args.split)
     else:
@@ -192,7 +215,7 @@ def cmd_predict(args) -> int:
     records = _read_records(args.data)
     if not (0 <= args.index < len(records)):
         raise IndexError(f"record index {args.index} out of range, have {len(records)}")
-    sample = featurizer.transform(records[args.index])
+    (sample,) = _in_range([featurizer.transform(records[args.index])])
     y_node, y_graph = gnn.predict(model, sample.graph)
     lines = []
     if y_node is not None:

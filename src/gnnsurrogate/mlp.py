@@ -49,26 +49,35 @@ class Mlp:
         return out
 
 
+def he_fill(weights, rng) -> None:
+    """Fill each (fan_in, fan_out) float64 array of `weights`, in order, with
+    N(0, 2/fan_in) draws from the Generator `rng`, in place."""
+    for w in weights:
+        rng.standard_normal(out=w)
+        w *= np.sqrt(2.0 / w.shape[0])
+
+
 def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
-    """Weights ~ N(0, 2/fan_in), biases zero; float64, which forward_tape and backward keep."""
-    rng = np.random.default_rng(seed_or_rng)   # returns a Generator unaltered
-    weights, biases = [], []
-    for fan_in, fan_out in config.layer_sizes():
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(config=config, weights=weights, biases=biases)
+    """Weights ~ N(0, 2/fan_in) (`he_fill`), biases zero; float64, which
+    forward_tape and backward keep."""
+    sizes = config.layer_sizes()
+    weights = [np.empty(size) for size in sizes]
+    he_fill(weights, np.random.default_rng(seed_or_rng))   # a Generator is kept as it is
+    return Mlp(config=config, weights=weights, biases=[np.zeros(fan_out) for _, fan_out in sizes])
 
 
-# A call with at least 2 * _MIN_RANGE_ROWS rows runs its row-independent
-# work (products, bias, sine chain) in contiguous chunks of at least
-# _MIN_RANGE_ROWS rows, which the calling thread and the pool's workers take
-# from one queue (`_in_ranges`). The hidden sine and cosine are glibc's
-# scalar routines, so more cores are the one way to make float64 trig faster
-# without changing its bits. A training batch of meshes (tens of thousands
-# of edge rows) gains; a single mesh's predict (up to ~1,900 edge rows) did
-# not, and its slowest calls got slower, so such calls run whole.
-_MIN_RANGE_ROWS = 2048
+# A call with at least 2 * _MIN_RANGE_ROWS = 1,024 rows runs its
+# row-independent work (products, bias, sine chain) in contiguous chunks of
+# at least _MIN_RANGE_ROWS rows, which the calling thread and the pool's
+# workers take from one queue (`_in_ranges`). The hidden sine and cosine are
+# glibc's scalar routines, so more cores are the one way to make float64
+# trig faster without changing its bits. A training batch of meshes (tens of
+# thousands of edge rows) gains, and so does a single mesh's predict (~600 to
+# ~1,800 edge rows), whose edge MLPs split from 1,024 edges on. A small
+# batch of chains (a few hundred rows a call) runs whole. A predict-only
+# process (say, `eval` on meshes) pins OpenBLAS to one thread at its first
+# call of 1,024 rows or more (`_pin_blas_to_one_thread`).
+_MIN_RANGE_ROWS = 512
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # OpenBLAS's thread-count setters, by build: plain and scipy-openblas,
@@ -130,8 +139,8 @@ _WHOLE = (slice(None),)
 
 def _row_ranges(rows: int) -> tuple[slice, ...]:
     """The contiguous row chunks a call of `rows` rows runs in: as many as
-    fit with at least _MIN_RANGE_ROWS rows each, whatever the CPU count. One
-    whole range below 2 * _MIN_RANGE_ROWS rows, on one CPU, or where the BLAS
+    fit with at least _MIN_RANGE_ROWS (512) rows each, whatever the CPU
+    count. One whole range below 1,024 rows, on one CPU, or where the BLAS
     cannot be held to one thread (its threads would contend with the
     chunks'). The first split pins the BLAS (`_pin_blas_to_one_thread`)."""
     if rows < 2 * _MIN_RANGE_ROWS or _WORKERS < 2 or not _pin_blas_to_one_thread():
@@ -197,7 +206,7 @@ def forward_tape(mlp: Mlp, x):
     `x` is cast to it, and blocks (the graph model's latents) are in it.
 
     One layer body runs every call. An unsplit call runs it once, and its
-    ufuncs make each layer's arrays. A call of at least 2 * 2048 rows
+    ufuncs make each layer's arrays. A call of at least 1,024 rows
     (`_row_ranges`) makes every layer's arrays first, the linear head's
     output being its z, and runs the body on each row chunk as one job of
     `_in_ranges`'s queue, writing the chunk's rows with the bits of the
@@ -283,7 +292,7 @@ def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
     `_in_ranges`: its weight-gradient product and bias sum run whole, as the
     `beside` job, and its input-gradient product and the cosine chain of the
     layer below run over the row ranges of the call (`_row_ranges`: one
-    below 2 * 2048 rows, else chunks beside that job), so every sum over
+    below 1,024 rows, else chunks beside that job), so every sum over
     rows keeps the order of the unsplit call. The first layer does so block
     by block, each block's ranges those of its own gradient's rows, and
     with `input_grad` False runs only the weight-gradient job."""

@@ -160,16 +160,16 @@ class GnnModel:
 
 
 def build_model(config: GnnConfig, seed) -> GnnModel:
-    """GnnModel(config) holding `mlp.he_init` draws from one generator seeded
-    with `seed`, taken for the encoders, every step's edge MLP, every step's
+    """GnnModel(config) with zero biases and He-initialized weights
+    (`mlp.he_fill`), drawn straight into the weight views from one generator
+    seeded with `seed`, for the encoders, every step's edge MLP, every step's
     node MLP and then the decoders."""
     rng = np.random.default_rng(seed)
     model = GnnModel(config)
     for m in [model.encoder_edge, model.encoder_node, *model.processor_edge,
               *model.processor_node, model.decoder_graph, model.decoder_node]:
         if m is not None:
-            for view, drawn in zip(m.parameters(), nn.he_init(m.config, rng).parameters()):
-                view[...] = drawn
+            nn.he_fill(m.weights, rng)
     return model
 
 
@@ -278,7 +278,7 @@ def forward(model: GnnModel, graph_or_batch):
     The tape, for one `backward` to consume, is the stack of the stages'
     entries in the order they ran; a blockwise MLP's tape holds its blocks.
 
-    An MLP call of 4096 rows or more runs in row chunks over the CPUs and
+    An MLP call of 1,024 rows or more runs in row chunks over the CPUs and
     holds the process's OpenBLAS to one thread for good
     (`mlp._pin_blas_to_one_thread`)."""
     tape = []
@@ -295,7 +295,7 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     block; a gathered block's sums the first pre-activation's gradient onto
     nodes (or graphs) through the `sums` given here: the sender and receiver
     incidence products, or the segment sums. An MLP call or first-layer
-    block of 4096 rows or more runs its row-wise products and cosine chains
+    block of 1,024 rows or more runs its row-wise products and cosine chains
     in row chunks, with its weight-gradient product, bias sum or x.T @ g as
     one whole job beside them, so no sum over rows changes order. As in
     `forward`, such a call holds the process's OpenBLAS to one thread for
@@ -356,6 +356,9 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
 def predict(model: GnnModel, graph_or_batch):
     """(node-level matrix or None, graph-level matrix (m, d_G)): the stages
     of `forward` without a tape, so each MLP's tape is freed as it returns.
-    As in `forward`, an MLP call of 4096 rows or more holds the process's
-    OpenBLAS to one thread for good (`mlp._pin_blas_to_one_thread`)."""
+    As in `forward`, an MLP call of 1,024 rows or more runs in row chunks
+    and holds the process's OpenBLAS to one thread for good
+    (`mlp._pin_blas_to_one_thread`): a mesh of 1,024 edges or more does, so
+    a predict-only process (say, `eval` on meshes) pins at its first such
+    mesh."""
     return _run_stages(model, graph_or_batch, None)

@@ -255,18 +255,24 @@ def fit(mdl, graphs: list[Graph], config: TrainConfig,
         start_epoch: int = 0) -> TrainLog:
     """Train in place. adam_state/schedule/start_epoch allow resumption.
     A batch carries only the target its task trains on, so graphs may
-    differ in the other one (a node-level graph may lack graph_target).
+    differ in the other one (a node-level graph may lack graph_target). A
+    graph that lacks the target its task trains on (node_targets or
+    graph_target) raises ValueError naming its index before any epoch.
 
     Sets the process's malloc policy for good (`_keep_step_memory_in_heap`),
-    and a batch with an MLP call of 4096 rows or more holds its OpenBLAS to
+    and a batch with an MLP call of 1,024 rows or more holds its OpenBLAS to
     one thread for good (`mlp._pin_blas_to_one_thread`)."""
     if not graphs:
         raise ValueError("empty training set")
     if config.task != mdl.config.task:
         raise ValueError(f"TrainConfig task {config.task!r} does not match the "
                          f"model's task {mdl.config.task!r}")
+    used, unused = (("node_targets", "graph_target") if config.task == "node_level"
+                    else ("graph_target", "node_targets"))
+    for i, g in enumerate(graphs):
+        if getattr(g, used) is None:
+            raise ValueError(f"graph {i}: has no {used}, which {config.task} training needs")
     _keep_step_memory_in_heap()
-    unused = "graph_target" if config.task == "node_level" else "node_targets"
     graphs = [replace(g, **{unused: None}) for g in graphs]
     if adam_state is None:
         adam_state = AdamState.for_parameters(mdl.parameters())

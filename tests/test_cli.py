@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,6 +327,48 @@ class TestBadRecords:
             assert cli_main([*argv, "--data", str(bad_data)]) == 2
             captured = capsys.readouterr()
             assert captured.err == message and captured.out == ""
+
+    @pytest.mark.parametrize("corrupt", ["freestream", "positions"])
+    def test_far_out_of_range_features_exit_2(self, workspace, capsys, corrupt):
+        """Finite input far outside the checkpoint's normalizers: a huge
+        freestream, or x positions scaled by 1e9. eval, predict and train
+        --resume refuse it, naming the record and the array, rather than
+        report a meaningless error or prediction."""
+        tmp_path, train_cfg, data = workspace
+        out = train(tmp_path, train_cfg, data)
+        recs = gs.read_dataset(data)
+        bad = recs[2]
+        if corrupt == "freestream":
+            bad.freestream = (1e300, 0.5)
+        else:
+            bad.positions[:, 0] *= 1e9
+        bad_data = tmp_path / "bad.jsonl"
+        gs.write_dataset(recs, bad_data)
+        # the airfoil node features hold the freestream and the positions
+        message = re.compile(rf"error: record {re.escape(bad.graph_id)}: normalized node_features "
+                             rf"reach magnitude \S+, above 1e\+06: far outside the data the "
+                             rf"checkpoint's normalizers were fitted on\n")
+        for argv in (["eval", "--ckpt", str(out)], ["predict", "--ckpt", str(out), "--index", "2"],
+                     ["train", "--config", str(train_cfg), "--resume", str(out),
+                      "--out", str(tmp_path / "resumed.ckpt")]):
+            capsys.readouterr()
+            assert cli_main([*argv, "--data", str(bad_data)]) == 2
+            captured = capsys.readouterr()
+            assert message.fullmatch(captured.err) and captured.out == ""
+        assert not (tmp_path / "resumed.ckpt").exists()
+        # in-range records are still accepted
+        assert cli_main(["predict", "--ckpt", str(out), "--index", "1",
+                         "--data", str(bad_data)]) == 0
+
+    def test_the_first_far_out_array_is_named(self):
+        graph = SimpleNamespace(node_features=np.ones((3, 2)),
+                                edge_features=np.array([[0.5], [-2e6]]))
+        samples = [SimpleNamespace(graph_id="r7", graph=graph)]
+        with pytest.raises(cli.DatasetFormatError, match=r"^record r7: normalized edge_features "
+                                                        r"reach magnitude 2e\+06, above 1e\+06"):
+            cli._in_range(samples)
+        graph.edge_features = np.zeros((0, 1))
+        assert cli._in_range(samples) is samples
 
     def test_string_upper_flags_exit_2(self, workspace, capsys):
         tmp_path, train_cfg, data = workspace

@@ -627,6 +627,7 @@ class TestCheckpoint:
         def refuse(*args):
             raise AssertionError("load_checkpoint drew initial weights")
         monkeypatch.setattr(nn, "he_init", refuse)
+        monkeypatch.setattr(nn, "he_fill", refuse)
         m2, _, resume = load_checkpoint(path)
         np.testing.assert_array_equal(m2.flat, m.flat)
         for s in samples:

@@ -459,6 +459,12 @@ class TestRowRanges:
         monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: False)
         assert nn._row_ranges(4096) == (slice(None),)
 
+    def test_the_default_split_starts_at_1024_rows_in_512_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: True)
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        assert nn._row_ranges(1023) == (slice(None),)
+        assert nn._row_ranges(1024) == (slice(0, 512), slice(512, 1024))
+
     def test_a_raising_job_is_raised_once_the_started_ones_finish(self, monkeypatch):
         """A chunk that raises on a worker, then a `beside` job that raises
         while a chunk runs: each time the caller gets the exception, after
@@ -509,7 +515,7 @@ class TestRowRanges:
 
 # Every layer of an unsplit backward runs through `_in_ranges`, whose one-range
 # case must stay a plain call: a chain fit and predict, and a single mesh's
-# predict below 2 * 2048 rows, make no pool, load no executor and never pin
+# predict below 1,024 edges, make no pool, load no executor and never pin
 # OpenBLAS. The CPU count is taken as two, so that only the row counts keep
 # the calls whole; a child interpreter, so no earlier test's split counts.
 UNSPLIT_SCRIPT = """
@@ -528,9 +534,9 @@ m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
 training.fit(m, [s.graph for s in samples], training.TrainConfig(epochs=2, batch_size=4))
 for s in samples:
     gnn.predict(m, s.graph)
-feat, samples = featurized_samples(5, 1, min_nodes=500, max_nodes=520, family="patch3d")
+feat, samples = featurized_samples(5, 1, min_nodes=150, max_nodes=170, family="patch3d")
 graph = samples[0].graph
-assert 2048 < graph.num_edges < 4096, graph.num_edges
+assert graph.num_edges < 1024, graph.num_edges
 m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
                                 edge_in=feat.edge_feature_width, node_out=None), 0)
 gnn.predict(m, graph)
@@ -540,3 +546,37 @@ print(nn._pool is None, "concurrent.futures.thread" in sys.modules, len(pins))
 
 def test_an_unsplit_process_makes_no_pool_and_never_pins():
     assert run_python(UNSPLIT_SCRIPT).split() == ["True", "False", "0"]
+
+
+# At the default constants, a single mesh's predict of 1,024 to 4,095 edges
+# splits its edge MLPs on two CPUs: the pool is made and OpenBLAS pinned. Its
+# outputs have the bytes of the same predict run whole (`_WORKERS = 1`, which
+# neither splits nor pins), taken after the split so that both run on the one
+# BLAS thread. Its first field is False where no OpenBLAS can be pinned.
+SPLIT_PREDICT_SCRIPT = """
+from gnnsurrogate import mlp as nn
+from gnnsurrogate import model as gnn
+from conftest import featurized_samples, tiny_config
+
+pins, pin = [], nn._pin_blas_to_one_thread
+nn._pin_blas_to_one_thread = lambda: pins.append(1) or pin()
+feat, samples = featurized_samples(5, 1, min_nodes=250, max_nodes=270, family="patch3d")
+graph = samples[0].graph
+assert 1024 <= graph.num_edges < 4096, graph.num_edges
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width, latent=16, width=32), 0)
+outputs = []
+for workers in (2, 1):
+    nn._WORKERS = workers
+    outputs.append([a.tobytes() for a in gnn.predict(m, graph)])
+nn._WORKERS = 2
+print(pin(), nn._pool is not None, len(pins) > 0, len(nn._row_ranges(graph.num_edges)),
+      outputs[0] == outputs[1])
+"""
+
+
+def test_a_mesh_of_1024_edges_or_more_predicts_split_with_the_unsplit_bytes():
+    pinned, *rest = run_python(SPLIT_PREDICT_SCRIPT).split()
+    if pinned != "True":
+        pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
+    assert rest == ["True", "True", "3", "True"]

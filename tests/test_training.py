@@ -179,6 +179,24 @@ class TestFit:
                    gs.TrainConfig(epochs=1, batch_size=3, task=config_task))
         assert m.flat.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("task, field", [("node_level", "node_targets"),
+                                             ("graph_level", "graph_target")])
+    def test_a_graph_without_its_target_is_named(self, task, field, batch_size):
+        """Before any epoch, fit names the graph lacking the target its task
+        trains on, whichever batch it would fall in."""
+        feat, samples = featurized_samples(9, 6, min_nodes=4, max_nodes=6)
+        graphs = [s.graph for s in samples]
+        graphs[3] = replace(graphs[3], **{field: None})
+        node_level = task == "node_level"
+        m = gnn.build_model(tiny_config(node_out=1 if node_level else None,
+                                        graph_out=3 if node_level else 1), 0)
+        before = m.flat.copy()
+        with pytest.raises(ValueError, match=f"^graph 3: has no {field}, which {task} "
+                                             f"training needs$"):
+            tr.fit(m, graphs, gs.TrainConfig(epochs=1, batch_size=batch_size, task=task))
+        assert m.flat.tobytes() == before.tobytes()
+
     def test_divergence_reported_with_location(self):
         feat, samples = featurized_samples(10, 2, min_nodes=4, max_nodes=5)
         m = gnn.build_model(tiny_config(), 0)

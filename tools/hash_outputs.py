@@ -26,9 +26,11 @@ both logs without `wall_time`.
 A tree that splits big MLP calls into row ranges holds OpenBLAS to one
 thread from its first split on, so its hashes do not depend on
 `OPENBLAS_NUM_THREADS`; an older tree's mesh training hashes do, and match
-only when run at `OPENBLAS_NUM_THREADS=1`. Bits across CPU models are not
-promised either way (OpenBLAS picks its kernels per CPU). Standard library
-only, besides the tree's own code and numpy.
+only when run at `OPENBLAS_NUM_THREADS=1`. An MLP call splits from 1,024
+rows on, so the held-out mesh predictions include split calls too: a mesh
+of 1,024 edges or more predicts its edge MLPs in row chunks. Bits across
+CPU models are not promised either way (OpenBLAS picks its kernels per
+CPU). Standard library only, besides the tree's own code and numpy.
 """
 
 from __future__ import annotations
