@@ -66,18 +66,19 @@ def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
     return Mlp(config=config, weights=weights, biases=[np.zeros(fan_out) for _, fan_out in sizes])
 
 
-# A call with at least 2 * _MIN_RANGE_ROWS = 1,024 rows runs its
-# row-independent work (products, bias, sine chain) in contiguous chunks of
-# at least _MIN_RANGE_ROWS rows, which the calling thread and the pool's
-# workers take from one queue (`_in_ranges`). The hidden sine and cosine are
-# glibc's scalar routines, so more cores are the one way to make float64
-# trig faster without changing its bits. A training batch of meshes (tens of
-# thousands of edge rows) gains, and so does a single mesh's predict (~600 to
-# ~1,800 edge rows), whose edge MLPs split from 1,024 edges on. A small
-# batch of chains (a few hundred rows a call) runs whole. A predict-only
-# process (say, `eval` on meshes) pins OpenBLAS to one thread at its first
-# call of 1,024 rows or more (`_pin_blas_to_one_thread`).
-_MIN_RANGE_ROWS = 512
+# A call of at least _RANGE_ROWS // 2 = 1,024 rows runs its row-independent
+# work (products, bias, sine and cosine chains) in max(2, rows // _RANGE_ROWS)
+# contiguous chunks, which the calling thread and the pool's workers take from
+# one queue (`_in_ranges`); its backward then hands every whole-row reduction
+# to the same queue as one job each. The hidden sine and cosine are glibc's
+# scalar routines, so more cores are the one way to make float64 trig faster
+# without changing its bits. A training batch of meshes (tens of thousands of
+# edge rows, ~2,048 a chunk) gains, and so does a single mesh's predict (~600
+# to ~1,800 edge rows), whose edge MLPs run in two halves from 1,024 edges on.
+# A small batch of chains (a few hundred rows a call) runs whole. A
+# predict-only process (say, `eval` on meshes) pins OpenBLAS to one thread at
+# its first call of 1,024 rows or more (`_pin_blas_to_one_thread`).
+_RANGE_ROWS = 2048
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # OpenBLAS's thread-count setters, by build: plain and scipy-openblas,
@@ -138,34 +139,41 @@ _WHOLE = (slice(None),)
 
 
 def _row_ranges(rows: int) -> tuple[slice, ...]:
-    """The contiguous row chunks a call of `rows` rows runs in: as many as
-    fit with at least _MIN_RANGE_ROWS (512) rows each, whatever the CPU
-    count. One whole range below 1,024 rows, on one CPU, or where the BLAS
-    cannot be held to one thread (its threads would contend with the
-    chunks'). The first split pins the BLAS (`_pin_blas_to_one_thread`)."""
-    if rows < 2 * _MIN_RANGE_ROWS or _WORKERS < 2 or not _pin_blas_to_one_thread():
+    """The contiguous row chunks a call of `rows` rows runs in: max(2, rows
+    // _RANGE_ROWS) of them, of as equal sizes as fit, whatever the CPU
+    count, so a call of 1,024 to 4,095 rows runs in two halves and one of
+    38,082 rows in 18 chunks. One whole range below _RANGE_ROWS // 2 =
+    1,024 rows, on one CPU, or where the BLAS cannot be held to one thread
+    (its threads would contend with the chunks'). The first split pins the
+    BLAS (`_pin_blas_to_one_thread`)."""
+    if rows < _RANGE_ROWS // 2 or _WORKERS < 2 or not _pin_blas_to_one_thread():
         return _WHOLE
-    parts = rows // _MIN_RANGE_ROWS
+    parts = max(2, rows // _RANGE_ROWS)
     bounds = [rows * i // parts for i in range(parts + 1)]
     return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def _in_ranges(task, ranges: tuple[slice, ...], *arrays, beside=()):
-    """Every `beside` task, called with no arguments, and task(*(a[r] for a
-    in arrays)) for every range r; returns when all have run. The jobs, the
-    `beside` ones first, form one queue that the calling thread and up to
-    _WORKERS - 1 pool workers (the pool is made here, at the first split)
-    take in order. Once a job raises, no further job starts, and the first
-    exception is raised after every started job has finished. One range
-    runs the `beside` tasks and then task(*arrays) on the calling thread,
-    with no queue and no pool: an unsplit `backward` runs every layer
-    through here at the cost of a call."""
+    """Every `beside` job, called with no arguments, and, unless `task` is
+    None, task(*(a[r] for a in arrays)) for every range r; returns when all
+    have run. The jobs, the `beside` ones first, form one queue that the
+    calling thread and up to _WORKERS - 1 pool workers (the pool is made
+    here, at the first split) take in order. Once a job raises, no further
+    job starts, and the first exception is raised after every started job
+    has finished. One range runs the `beside` jobs and then task(*arrays)
+    on the calling thread, with no queue and no pool: an unsplit `backward`
+    runs each of its steps through here at the cost of a call. So
+    `_in_ranges(None, ranges, beside=jobs)` runs whole jobs, on the pool
+    when `ranges` is a split."""
     global _pool
     if len(ranges) == 1:
         for job in beside:
             job()
-        return task(*arrays)
-    jobs = [*beside, *(functools.partial(task, *(a[r] for a in arrays)) for r in ranges)]
+        if task is not None:
+            task(*arrays)
+        return
+    jobs = [*beside, *(functools.partial(task, *(a[r] for a in arrays))
+                       for r in (ranges if task is not None else ()))]
     taken, failed = itertools.count(), []     # next() on a count is atomic
 
     def run():
@@ -267,6 +275,13 @@ def forward_tape(mlp: Mlp, x):
     return hs[-1], (hs, zs)
 
 
+def _weight_grads(h, gz, gw, gb):
+    """gw <- h.T @ gz and gb <- gz summed over rows: a hidden layer's
+    reductions, over every row at once."""
+    np.matmul(h.T, gz, out=gw)
+    gz.sum(axis=0, out=gb)
+
+
 def _cos_chain(z, g, w0):
     """z <- w0 * cos(z) * g, in place."""
     np.cos(z, out=z)
@@ -274,71 +289,114 @@ def _cos_chain(z, g, w0):
     z *= g
 
 
-def backward(mlp: Mlp, tape, grad_output: np.ndarray, input_grad: bool = True,
+def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
              out: list | None = None, sums=None):
     """Reverse pass. Returns (grad wrt input, [gW0, gb0, gW1, gb1, ...]),
     written into `out` (one array per parameter) when it is given.
 
-    The input gradient has the input's form: an array, or one array per
-    block shaped like the block's array; None with `input_grad` False. For a
-    gathered block that is the first pre-activation gradient gz0 summed onto
-    its array's rows, which the caller knows how to do cheaply: `sums(gz0)`,
+    `grad_output` is an array, or a list of blocks (array, rows) standing
+    for the sum of array[rows] (of the array when rows is None), added in
+    order row by row, as `forward_tape` forms a gathered input. The input
+    gradient has the input's form: an array, or one array per block shaped
+    like the block's array; None with `input_grad` False. For a gathered
+    block that is the first pre-activation gradient gz0 summed onto its
+    array's rows, which the caller knows how to do cheaply: `sums(gz0)`,
     required when a block is gathered, returns one such sum per gathered
     block, in order.
 
-    The tape is single-use: its layers are popped and overwritten, so a
-    second backward on it raises RuntimeError; the input and grad_output
-    (cast to the weights' dtype) are only read. Every layer runs through
-    `_in_ranges`: its weight-gradient product and bias sum run whole, as the
-    `beside` job, and its input-gradient product and the cosine chain of the
-    layer below run over the row ranges of the call (`_row_ranges`: one
-    below 1,024 rows, else chunks beside that job), so every sum over
-    rows keeps the order of the unsplit call. The first layer does so block
-    by block, each block's ranges those of its own gradient's rows, and
-    with `input_grad` False runs only the weight-gradient job."""
+    The tape is single-use: it is emptied and its pre-activations
+    overwritten, so a second backward on it raises RuntimeError; the input
+    and grad_output (cast to the weights' dtype) are only read. It runs
+    through `_in_ranges` in three steps. The first runs every row-wise step
+    of every layer, top to bottom, over the row ranges of the call
+    (`_row_ranges`: one below 1,024 rows, else fixed chunks), one job per
+    range: the output gradient's blocks, the output activation's chain, and
+    each layer's gz @ W.T with the cosine chain of the layer below. The
+    second makes each reduction over rows a whole job of its own: each
+    hidden layer's h.T @ gz with its bias sum, each ungathered block's
+    x.T @ gz0, the first layer's bias sum, and `sums` with the gathered
+    blocks' products over their arrays' rows; the pool takes them when the
+    call is split. The last runs each ungathered block's gz0 @ W0_block.T
+    over the row ranges, once the layer inputs are let go, so that they and
+    the input gradient are never held at once. Every sum over rows keeps
+    the order of the unsplit call, and the bits do not depend on the
+    split."""
     if tape is None or len(tape[1]) != len(mlp.weights):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
     hs, zs = tape
-    blocks = hs[0] if isinstance(hs[0], list) else [(hs[0], None)]
-    if sums is None and any(rows is not None for _, rows in blocks):
-        raise ValueError("a gathered input block needs `sums`")
-    cfg = mlp.config
-    w0 = cfg.sine_frequency
-    g = np.atleast_2d(np.asarray(grad_output, dtype=mlp.weights[0].dtype))
-    param_grads = ([np.empty_like(mlp.weights[0])] + [None] * (2 * len(mlp.weights) - 1)
-                   if out is None else out)
-    hs.pop()                                # the output
-    ranges = _row_ranges(len(g))
-
-    def weight_grads(k, h, gz):             # layer k's, over every row at once
-        param_grads[2 * k + 1] = gz.sum(axis=0, out=param_grads[2 * k + 1])
-        param_grads[2 * k] = np.matmul(h.T, gz, out=param_grads[2 * k])
-
-    z = zs.pop()
-    if cfg.output_activation == "sine":
-        _in_ranges(functools.partial(_cos_chain, w0=w0), ranges, z, g)
-        gz = z
-    elif cfg.output_activation == "relu":
-        gz = g * (z > 0.0)
+    as_blocks = isinstance(hs[0], list)
+    cfg, dtype = mlp.config, mlp.weights[0].dtype
+    w0, act, last = cfg.sine_frequency, cfg.output_activation, len(mlp.weights) - 1
+    grads = [np.empty_like(p) for p in mlp.parameters()] if out is None else out
+    if isinstance(grad_output, list):
+        g_blocks = grad_output
+        g = np.empty((len(zs[0]), cfg.output_size), dtype)
+        arrays = [a if rows is None else rows for a, rows in g_blocks]
     else:
-        gz = g
-    for k in range(len(mlp.weights) - 1, 0, -1):
-        h, wt, z = hs.pop(), mlp.weights[k].T, zs.pop()
-        _in_ranges(lambda gz, z: _cos_chain(z, gz @ wt, w0), ranges, gz, z,
-                   beside=(lambda: weight_grads(k, h, gz),))
-        gz = z
-    x = hs.pop()
-    block_sums = iter(() if sums is None else sums(gz))
-    param_grads[1] = gz.sum(axis=0, out=param_grads[1])
-    gxs, lo = [], 0
-    for a, rows in blocks:
+        g_blocks, arrays = (), []
+        g = np.asarray(grad_output, dtype=dtype)
+        if g.ndim != 2:
+            g = np.atleast_2d(g)
+    # each layer's pre-activation gradient, written over its z by the first
+    # pass; a linear head's is g, and its z, the output, is never read
+    gzs = [*zs[:last], g if act == "linear" else zs[last]]
+    gz0 = gzs[0]
+    parts = len(arrays)
+    arrays += [g, gzs[last], *zs[:last]]
+    # the reductions, the longest first so that both CPUs finish together;
+    # outputs go in by position, which a partial passes on for less
+    jobs = []
+    for k in range(last, 0, -1):
+        jobs.append(functools.partial(_weight_grads, hs[k], gzs[k], grads[2 * k], grads[2 * k + 1]))
+    blocks = hs[0] if as_blocks else [(hs[0], None)]
+    gxs, row_wbs, gathered, lo = [None] * len(blocks), [], [], 0
+    for i, (a, rows) in enumerate(blocks):
         hi = lo + a.shape[1]
-        wb, gwb = mlp.weights[0][lo:hi], param_grads[0][lo:hi]
-        lo = hi
-        gb = gz if rows is None else next(block_sums)   # gz summed onto a's rows
-        gx = np.empty((len(gb), wb.shape[0]), gb.dtype) if input_grad else None
-        _in_ranges(lambda gb, gx: gx is None or np.matmul(gb, wb.T, out=gx),
-                   _row_ranges(len(gb)) if input_grad else _WHOLE, gb, gx,
-                   beside=(lambda: np.matmul(a.T, gb, out=gwb),))
-        gxs.append(gx)
-    return ((gxs if isinstance(x, list) else gxs[0]) if input_grad else None), param_grads
+        wb, gwb, lo = mlp.weights[0][lo:hi], grads[0][lo:hi], hi
+        if rows is not None:
+            gathered.append((i, a, wb, gwb))
+        else:
+            jobs.append(functools.partial(np.matmul, a.T, gz0, gwb))
+            if input_grad:
+                row_wbs.append((i, wb))
+    if gathered and sums is None:
+        raise ValueError("a gathered input block needs `sums`")
+    jobs.append(functools.partial(gz0.sum, 0, None, grads[1]))   # axis, dtype, out
+    hs.clear()          # consumed: the first pass overwrites every z, and
+    zs.clear()          # the output is let go, as no gradient reads it
+
+    def task(*arrays):  # the output gradient's parts, g, the top layer's gz, z0 .. z[last - 1]
+        g, gz = arrays[parts], arrays[parts + 1]
+        for i in range(parts):
+            (a, rows), part = g_blocks[i], arrays[i]
+            p = part if rows is None else np.take(a, part, axis=0, out=None if i else g)
+            if i:
+                g += p
+            elif p is not g:
+                np.copyto(g, p)
+        if act == "sine":
+            _cos_chain(gz, g, w0)
+        elif act == "relu":
+            np.multiply(g, gz > 0.0, out=gz)
+        for k in range(last, 0, -1):        # layer k's gz @ W.T into the chain below
+            z = arrays[parts + 1 + k]
+            _cos_chain(z, gz @ mlp.weights[k].T, w0)
+            gz = z
+
+    def onto_rows():    # gz0 summed onto each gathered block's array, then its products there
+        for (i, a, wb, gwb), gb in zip(gathered, sums(gz0)):
+            np.matmul(a.T, gb, out=gwb)
+            if input_grad:
+                gxs[i] = gb @ wb.T
+
+    ranges = _row_ranges(len(gz0))
+    _in_ranges(task, ranges, *arrays)
+    _in_ranges(None, ranges, beside=[onto_rows, *jobs] if gathered else jobs)
+    del jobs            # the layer inputs go before the input gradients come
+    for i, wb in row_wbs:
+        wt, gx = wb.T, np.empty((len(gz0), wb.shape[0]), dtype)
+        _in_ranges(lambda gz, gx: np.matmul(gz, wt, out=gx), ranges, gz0, gx)
+        gxs[i] = gx
+    if not input_grad:
+        return None, grads
+    return (gxs if as_blocks else gxs[0]), grads

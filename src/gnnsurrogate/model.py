@@ -189,10 +189,18 @@ def _segment_mean(values: np.ndarray, segments) -> np.ndarray:
 
 
 def _incidence(index: np.ndarray, num_nodes: int, dtype):
-    """(N, E) 0/1 matrix with a one at (index[j], j): a scatter-add as a matmul."""
-    num_e = len(index)
-    return sparse.csr_matrix((np.ones(num_e, dtype), (index, np.arange(num_e))),
-                             shape=(num_nodes, num_e))
+    """(N, E) 0/1 matrix with a one at (index[j], j): a scatter-add as a matmul.
+
+    Built as CSR directly: row n holds the edges j with index[j] == n in
+    increasing j, the layout scipy's COO-to-CSR conversion makes, so its
+    products have the same bits. The stable sort runs on the smallest
+    unsigned type that holds the node ids, which numpy sorts by radix up to
+    16 bits."""
+    indptr = np.zeros(num_nodes + 1, np.int64)
+    np.cumsum(np.bincount(index, minlength=num_nodes), out=indptr[1:])
+    order = np.argsort(index.astype(np.min_scalar_type(num_nodes)), kind="stable")
+    return sparse.csr_matrix((np.ones(len(index), dtype), order, indptr),
+                             shape=(num_nodes, len(index)))
 
 
 def encode(model: GnnModel, graph: Graph, tape: list | None = None):
@@ -294,12 +302,15 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
     RuntimeError. A blockwise MLP's `mlp.backward` returns one gradient per
     block; a gathered block's sums the first pre-activation's gradient onto
     nodes (or graphs) through the `sums` given here: the sender and receiver
-    incidence products, or the segment sums. An MLP call or first-layer
-    block of 1,024 rows or more runs its row-wise products and cosine chains
-    in row chunks, with its weight-gradient product, bias sum or x.T @ g as
-    one whole job beside them, so no sum over rows changes order. As in
-    `forward`, such a call holds the process's OpenBLAS to one thread for
-    good (`mlp._pin_blas_to_one_thread`)."""
+    incidence products, or the segment sums. The edge MLP's output gradient
+    goes in as the blocks [gagg[receivers] | ge], added row by row inside
+    `mlp.backward`, as its input blocks are in `forward`. An MLP call of
+    1,024 rows or more runs its row-wise steps in row chunks, one pass from
+    the top layer down, and then each reduction over rows (a weight-gradient
+    product, a bias sum, x.T @ g, the incidence products) as one whole job,
+    so no sum over rows changes order. As in `forward`, such a call holds
+    the process's OpenBLAS to one thread for good
+    (`mlp._pin_blas_to_one_thread`)."""
     cfg = model.config
     if len(tape) != 2 + cfg.steps + (model.decoder_node is not None):
         raise RuntimeError("backward needs a forward tape no backward has consumed")
@@ -338,10 +349,8 @@ def backward(model: GnnModel, tape, grad_node_out=None, grad_graph_out=None):
         # v_next = v + uv; e_next = e + ue; agg feeds uv, e/v feed ue
         (gv_pn, gagg), _ = nn.backward(model.processor_node[k], tape_pn, gv, out=outs.pop())
         gv += gv_pn
-        gue = np.take(gagg, r, axis=0)
-        gue += ge
         (ge_pe, gv_s, gv_r), _ = nn.backward(
-            model.processor_edge[k], tape_pe, gue, out=outs.pop(),
+            model.processor_edge[k], tape_pe, [(gagg, r), (ge, None)], out=outs.pop(),
             sums=lambda gz: [send_mat @ gz, recv_mat @ gz])
         ge += ge_pe
         gv += gv_s
@@ -357,8 +366,8 @@ def predict(model: GnnModel, graph_or_batch):
     """(node-level matrix or None, graph-level matrix (m, d_G)): the stages
     of `forward` without a tape, so each MLP's tape is freed as it returns.
     As in `forward`, an MLP call of 1,024 rows or more runs in row chunks
-    and holds the process's OpenBLAS to one thread for good
-    (`mlp._pin_blas_to_one_thread`): a mesh of 1,024 edges or more does, so
-    a predict-only process (say, `eval` on meshes) pins at its first such
-    mesh."""
+    (two halves below 4,096 rows) and holds the process's OpenBLAS to one
+    thread for good (`mlp._pin_blas_to_one_thread`): a mesh of 1,024 edges
+    or more does, so a predict-only process (say, `eval` on meshes) pins at
+    its first such mesh."""
     return _run_stages(model, graph_or_batch, None)

@@ -367,15 +367,15 @@ def call_input(x, nodes, gather, blocks, rows=slice(None)):
 def row_range_runs() -> dict:
     """Per (output activation, input as blocks): `forward_backward` of a
     1536-row call split into three ranges ("split"), of its 384-row pieces
-    ("pieces") and of the call run whole on one worker ("whole"); empty where
-    no OpenBLAS can be held to one thread, so nothing splits. Three ranges
-    of at least 512 rows whatever the CPU count, with frequent thread
-    switches; the gathered block's 1100-row adjoint splits in two. A split
-    pins OpenBLAS for the rest of the process, so this runs in a child
-    interpreter (`ROW_RANGE_SCRIPT`)."""
+    ("pieces") and of the call run whole ("whole"), both on one worker;
+    empty where no OpenBLAS can be held to one thread, so nothing
+    splits. Three ranges of 512 rows whatever the CPU count, with frequent
+    thread switches; the gathered block's 1100-row adjoint runs whole among
+    the reductions. A split pins OpenBLAS for the rest of the process, so
+    this runs in a child interpreter (`ROW_RANGE_SCRIPT`)."""
     if not nn._pin_blas_to_one_thread():
         return {}
-    nn._MIN_RANGE_ROWS = 512
+    nn._RANGE_ROWS = 512
     sys.setswitchinterval(1e-6)
     runs = {}
     for act in ACTIVATIONS:
@@ -384,11 +384,11 @@ def row_range_runs() -> dict:
             nn._WORKERS = 3
             assert len(nn._row_ranges(ROWS)) == 3 and len(nn._row_ranges(NODES)) == 2
             split = forward_backward(mlp, call_input(x, nodes, gather, blocks), g_out)
+            nn._WORKERS = 1
+            assert nn._row_ranges(ROWS) == (slice(None),)
             pieces = [forward_backward(mlp, call_input(x, nodes, gather, blocks,
                                                        slice(lo, lo + 384)), g_out[lo:lo + 384])
                       for lo in range(0, ROWS, 384)]
-            nn._WORKERS = 1
-            assert nn._row_ranges(ROWS) == (slice(None),)
             whole = forward_backward(mlp, call_input(x, nodes, gather, blocks), g_out)
             runs[act, blocks] = {"split": split, "pieces": pieces, "whole": whole}
     return runs
@@ -440,7 +440,7 @@ class TestRowRanges:
     def test_small_calls_and_one_cpu_never_pin(self, monkeypatch):
         pins = []
         monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: pins.append(1) or True)
-        monkeypatch.setattr(nn, "_MIN_RANGE_ROWS", 512)
+        monkeypatch.setattr(nn, "_RANGE_ROWS", 2048)
         monkeypatch.setattr(nn, "_WORKERS", 4)
         assert nn._row_ranges(1023) == (slice(None),)
         monkeypatch.setattr(nn, "_WORKERS", 1)
@@ -448,8 +448,8 @@ class TestRowRanges:
         assert pins == []
         monkeypatch.setattr(nn, "_WORKERS", 4)
         assert nn._row_ranges(1500) == (slice(0, 750), slice(750, 1500))
-        # fixed chunks of at least 512 rows, whatever the CPU count
-        chunks = tuple(slice(lo, lo + 512) for lo in range(0, 4096, 512))
+        # fixed chunks of ~2,048 rows, whatever the CPU count
+        chunks = (slice(0, 2048), slice(2048, 4096))
         assert nn._row_ranges(4096) == chunks
         monkeypatch.setattr(nn, "_WORKERS", 2)
         assert nn._row_ranges(4096) == chunks
@@ -459,15 +459,17 @@ class TestRowRanges:
         monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: False)
         assert nn._row_ranges(4096) == (slice(None),)
 
-    def test_the_default_split_starts_at_1024_rows_in_512_row_chunks(self, monkeypatch):
+    def test_the_default_split_starts_at_1024_rows_in_2048_row_chunks(self, monkeypatch):
         monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: True)
         monkeypatch.setattr(nn, "_WORKERS", 2)
         assert nn._row_ranges(1023) == (slice(None),)
         assert nn._row_ranges(1024) == (slice(0, 512), slice(512, 1024))
+        assert len(nn._row_ranges(38082)) == 18
 
     def test_a_raising_job_is_raised_once_the_started_ones_finish(self, monkeypatch):
         """A chunk that raises on a worker, then a `beside` job that raises
-        while a chunk runs: each time the caller gets the exception, after
+        while a chunk runs, then a whole job that raises in a queue of whole
+        jobs and no chunks: each time the caller gets the exception, after
         every started job has finished, and the next call still runs on the
         pool. `_in_ranges` itself never pins the BLAS."""
         monkeypatch.setattr(nn, "_WORKERS", 2)
@@ -511,6 +513,21 @@ class TestRowRanges:
         nn._in_ranges(lambda o: np.add(o, 1.0, out=o), ranges, out,
                       beside=(lambda: ran.append(1),))
         assert out.tolist() == [1.0] * 6 and ran == [1]
+
+        started.clear(), finished.clear(), on_main.clear()
+
+        def failing_whole_job():
+            on_main.wait(10)       # a slow job runs on the other thread
+            raise ValueError("whole job")
+
+        slow_jobs = [lambda i=i: slow_chunk([i]) for i in range(5)]
+        with pytest.raises(ValueError, match="whole job"):
+            nn._in_ranges(None, ranges, beside=(failing_whole_job, *slow_jobs))
+        assert started and sorted(finished) == sorted(started)
+
+        ran = []
+        nn._in_ranges(None, ranges, beside=[lambda i=i: ran.append(i) for i in range(4)])
+        assert sorted(ran) == [0, 1, 2, 3]
 
 
 # Every layer of an unsplit backward runs through `_in_ranges`, whose one-range
@@ -579,4 +596,4 @@ def test_a_mesh_of_1024_edges_or_more_predicts_split_with_the_unsplit_bytes():
     pinned, *rest = run_python(SPLIT_PREDICT_SCRIPT).split()
     if pinned != "True":
         pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
-    assert rest == ["True", "True", "3", "True"]
+    assert rest == ["True", "True", "2", "True"]

@@ -548,6 +548,31 @@ class TestFlatParameters:
         assert [g.shape for g in m.split(grad)] == [p.shape for p in m.parameters()]
 
 
+_SCATTER = np.random.default_rng(8)
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("index, num_nodes", [
+        (np.array([0, 0, 1, 2, 2, 2]), 3),                  # sorted
+        (np.array([2, 0, 1, 0, 2, 1, 0]), 4),               # unsorted; node 3 has no edges
+        (np.zeros(0, np.int64), 3),                         # no edges
+        (_SCATTER.integers(0, 300, 2000), 300),             # ids past 8 bits
+        (_SCATTER.integers(0, 70_000, 500), 70_000),        # ids past 16 bits
+    ])
+    def test_equals_the_coo_built_matrix(self, index, num_nodes):
+        """The directly built CSR has the structure scipy's COO conversion
+        makes, so its products have the same bytes."""
+        want = sparse.csr_matrix((np.ones(len(index)), (index, np.arange(len(index)))),
+                                 shape=(num_nodes, len(index)))
+        got = gnn._incidence(index, num_nodes, np.float64)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            np.testing.assert_array_equal(a, b)
+        x = np.random.default_rng(9).normal(size=(len(index), 5))
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+
+
 def allocating_backward(m, tape, grad_node_out, grad_graph_out):
     """`gnn.backward` as it was before gradients were written in place: every
     gradient array allocated, the vector formed by one concatenate."""
@@ -711,7 +736,9 @@ class TestPrecisionFollowsParameters:
 
         def recording_backward(mlp, tape, grad_output, **kwargs):
             grad_input, grads = mlp_backward(mlp, tape, grad_output, **kwargs)
-            adjoints.append(grad_output)            # a list of blocks' gradients, or one
+            # a list of blocks' gradients, or one
+            adjoints.extend([a for a, _ in grad_output] if isinstance(grad_output, list)
+                            else [grad_output])
             adjoints.extend([] if grad_input is None else
                             grad_input if isinstance(grad_input, list) else [grad_input])
             return grad_input, grads
@@ -748,7 +775,7 @@ from conftest import featurized_samples, tiny_config
 
 if not nn._pin_blas_to_one_thread():
     raise SystemExit(print("unpinned"))
-nn._MIN_RANGE_ROWS = 512
+nn._RANGE_ROWS = 512
 sys.setswitchinterval(1e-6)
 feat, samples = featurized_samples(4, 6, min_nodes=180, max_nodes=220, family="patch3d")
 batch = merge_batch([s.graph for s in samples])
@@ -802,7 +829,7 @@ from conftest import featurized_samples, tiny_config
 
 if not nn._pin_blas_to_one_thread():
     raise SystemExit(print("unpinned"))
-nn._WORKERS, nn._MIN_RANGE_ROWS = max(nn._WORKERS, 2), 512
+nn._WORKERS, nn._RANGE_ROWS = max(nn._WORKERS, 2), 512
 feat, samples = featurized_samples(3, 1, min_nodes=240, max_nodes=250, family="patch3d")
 graph = samples[0].graph
 assert graph.num_edges >= 1024

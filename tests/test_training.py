@@ -502,3 +502,47 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         run_python(THREADS_TRAIN_SCRIPT, path, env={"OPENBLAS_NUM_THREADS": threads})
         saved[threads] = path.read_bytes()
     assert saved["1"] == saved["2"]
+
+
+# One training step of a batch of five meshes (~7,200 edges, ~1,230 nodes),
+# node-level, so that its edge MLP calls run in three row chunks, its node
+# calls in two, and the node decoder's gathered block sums onto graphs. Each
+# worker count runs in its own child interpreter, pinned to one BLAS thread
+# first so that only the split differs: `_WORKERS = 1` runs every call whole.
+# It prints the chunk count of an edge call and a hash of the loss, the
+# gradient vector and the parameters after one Adam step.
+STEP_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from gnnsurrogate import mlp as nn
+from gnnsurrogate import model as gnn
+from gnnsurrogate import training as tr
+from gnnsurrogate.graph import merge_batch
+from conftest import featurized_samples, tiny_config
+
+if not nn._pin_blas_to_one_thread():
+    raise SystemExit(print("unpinned"))
+nn._WORKERS = int(sys.argv[1])
+feat, samples = featurized_samples(7, 5, min_nodes=220, max_nodes=260, family="patch3d")
+batch = merge_batch([s.graph for s in samples])
+g = batch.graph
+assert g.num_edges >= 4096 and g.num_nodes >= 1024, (g.num_edges, g.num_nodes)
+m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
+                                edge_in=feat.edge_feature_width, latent=16, width=32), 0)
+y_node, _, tape = gnn.forward(m, batch)
+value, gpred = tr.mae_loss(y_node, g.node_targets)
+grad = gnn.backward(m, tape, grad_node_out=gpred)
+reg, reg_grad = tr.l1_penalty(m.flat, 1e-3, m.offsets)
+grad += reg_grad
+tr.adam_step(m.flat, grad, tr.AdamState.for_parameters(m.parameters()), 1e-3)
+digest = hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in (value + reg, grad, m.flat)))
+print(len(nn._row_ranges(g.num_edges)), digest.hexdigest())
+"""
+
+
+def test_a_split_mesh_training_step_has_the_bytes_of_the_whole_one():
+    runs = {workers: run_python(STEP_SCRIPT, workers).split() for workers in (1, 2, 4)}
+    if runs[1] == ["unpinned"]:
+        pytest.skip("no OpenBLAS to hold to one thread, so calls are never split")
+    assert [chunks for chunks, _ in runs.values()] == ["1", "3", "3"]
+    assert runs[2][1] == runs[1][1] and runs[4][1] == runs[1][1]
