@@ -1,4 +1,14 @@
-"""Binary model checkpoints: magic + version + length-prefixed sections."""
+"""Binary model checkpoints, format 2:
+
+    MAGIC | <u32 VERSION> <u64 meta length> | meta JSON | vectors | <u32 CRC32>
+
+The meta JSON holds the model's `GnnConfig` fields ('model'), the dtype of
+the stored vectors ('dtype'), the featurizer's settings with each normalizer
+as [shift, scale] lists or null ('featurizer') and the training-resume
+scalars or null ('resume'). The vectors are little-endian and back to back:
+`model.flat` ('params'), then, for a resumable file, Adam's m and v. The CRC
+covers every byte before it. Errors name the part at fault: 'meta', its
+resume scalars ('resume_meta') or the vectors ('params')."""
 
 from __future__ import annotations
 
@@ -8,6 +18,7 @@ import math
 import os
 import struct
 import sys
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +29,10 @@ from .model import GnnConfig, GnnModel
 from .training import AdamState, PlateauSchedule
 
 MAGIC = b"GNNSCKPT"
-VERSION = 1
-# Featurizer.NORMALIZERS are held in 'normalizers' as (shift, scale) pairs, in
-# that order, and its settings in meta. AdamState's moments are held in
-# 'resume_arrays', and its scalars in 'resume_meta'.
+VERSION = 2
+_HEAD = struct.Struct("<IQ")          # version, meta length
+_CRC = struct.Struct("<I")
+_DTYPES = ("float32", "float64")
 _MOMENTS = ("m", "v")
 
 
@@ -36,86 +47,6 @@ class TrainResumeState:
     epoch: int
 
 
-def _pack_arrays(arrays) -> bytes:
-    chunks = [struct.pack("<Q", len(arrays))]
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        chunks.append(struct.pack("<B", a.ndim))
-        chunks.append(struct.pack(f"<{a.ndim}Q", *a.shape) if a.ndim else b"")
-        chunks.append(a.tobytes())
-    return b"".join(chunks)
-
-
-def _unpack_arrays(buf: bytes, section: str) -> list[np.ndarray]:
-    """Inverse of `_pack_arrays`; a payload that does not hold exactly the
-    arrays its headers describe raises CheckpointError naming `section`."""
-    offset, arrays = 8, []
-    try:
-        (count,) = struct.unpack_from("<Q", buf, 0)
-        for _ in range(count):
-            (ndim,) = struct.unpack_from("<B", buf, offset)
-            shape = struct.unpack_from(f"<{ndim}Q", buf, offset + 1)
-            offset += 1 + 8 * ndim
-            size = math.prod(shape)
-            if offset + 8 * size > len(buf):
-                raise CheckpointError(f"section {section!r}: array {len(arrays)} "
-                                      f"overruns the section")
-            arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
-            offset += 8 * size
-            arrays.append(arr.copy())
-    except struct.error as exc:
-        raise CheckpointError(f"section {section!r}: truncated array header") from exc
-    if offset != len(buf):
-        raise CheckpointError(f"section {section!r}: {len(buf) - offset} bytes "
-                              f"after its last array")
-    return arrays
-
-
-def _write_section(fh, name: str, payload: bytes):
-    raw = name.encode()
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<Q", len(payload)))
-    fh.write(payload)
-
-
-def _read_sections(buf: bytes, offset: int) -> dict:
-    sections = {}
-    end = len(buf)
-    while offset < end:
-        if offset + 4 > end:
-            raise CheckpointError("truncated checkpoint (section header)")
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if offset + name_len + 8 > end:
-            raise CheckpointError("truncated checkpoint (section header)")
-        name = buf[offset:offset + name_len].decode(errors="replace")
-        offset += name_len
-        (payload_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        if offset + payload_len > end:
-            raise CheckpointError(f"truncated checkpoint (section {name!r})")
-        sections[name] = buf[offset:offset + payload_len]
-        offset += payload_len
-    return sections
-
-
-def _section(sections: dict, name: str) -> bytes:
-    if name not in sections:
-        raise CheckpointError(f"checkpoint has no {name!r} section")
-    return sections[name]
-
-
-def _json_section(sections: dict, name: str) -> dict:
-    try:
-        obj = json.loads(_section(sections, name).decode())
-    except ValueError as exc:    # bad UTF-8 or JSON
-        raise CheckpointError(f"section {name!r}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CheckpointError(f"section {name!r} is not a JSON object")
-    return obj
-
-
 def _fields(obj, skip=()) -> dict:
     """The dataclass `obj`'s fields, less `skip`, by name in field order."""
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
@@ -126,7 +57,7 @@ def _entries(entries: dict, kind, skip=()) -> dict:
     return {f.name: entries[f.name] for f in dataclasses.fields(kind) if f.name not in skip}
 
 
-# the fields held in 'resume_meta': AdamState's scalars, PlateauSchedule's and
+# the meta's 'resume' entries: AdamState's scalars, PlateauSchedule's and
 # TrainResumeState's epoch
 _RESUME_SCALARS = [f for kind in (AdamState, PlateauSchedule, TrainResumeState)
                    for f in dataclasses.fields(kind)
@@ -152,50 +83,56 @@ def _check_resume_scalar(f: dataclasses.Field, value):
                               f"expected {expected}")
 
 
-def _vector(model: GnnModel, arrays, section: str) -> np.ndarray:
-    """Per-parameter arrays as one vector laid out like model.flat."""
+def _normalizer(name: str, entry) -> Normalizer:
+    """The normalizer `name` from its [shift, scale] lists of one length."""
     try:
-        return model.flatten(arrays)
-    except ValueError as exc:
-        raise CheckpointError(f"section {section!r}: {exc}") from exc
+        shift, scale = np.array(entry, dtype=np.float64)
+        if shift.ndim == 1:
+            return Normalizer(shift=shift, scale=scale)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} is not [shift, scale] lists of one length")
 
 
 def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
                     resume: TrainResumeState | None = None):
+    vectors = [model.flat] + ([resume.adam.m, resume.adam.v] if resume is not None else [])
+    dtype = model.flat.dtype
+    if dtype.name not in _DTYPES or any(v.dtype != dtype or v.shape != model.flat.shape
+                                        for v in vectors):
+        raise ValueError(f"a checkpoint holds float32 or float64 parameters and Adam "
+                         f"moments of their dtype and length, not "
+                         f"{[(v.dtype.name, v.size) for v in vectors]}")
+    norms = {name: None if n is None else [n.shift.tolist(), n.scale.tolist()]
+             for name in Featurizer.NORMALIZERS for n in [getattr(featurizer, name)]}
     meta = {
         "model": dataclasses.asdict(model.config),
-        "featurizer": {**_fields(featurizer, skip=Featurizer.NORMALIZERS),
-                       "has_target_norm": featurizer.target_norm is not None},
-        "has_resume": resume is not None,
+        "dtype": dtype.name,
+        "featurizer": {**_fields(featurizer, skip=Featurizer.NORMALIZERS), **norms},
+        "resume": None if resume is None else {
+            **_fields(resume.adam, skip=_MOMENTS), **dataclasses.asdict(resume.schedule),
+            "epoch": resume.epoch},
     }
-    norms = [getattr(featurizer, name) for name in Featurizer.NORMALIZERS]
-    norm_arrays = [a for n in norms if n is not None for a in (n.shift, n.scale)]
+    text = json.dumps(meta).encode()
+    # on a little-endian machine each vector is written from its own memory
+    parts = [MAGIC, _HEAD.pack(VERSION, len(text)), text,
+             *(np.ascontiguousarray(v, dtype.newbyteorder("<")) for v in vectors)]
     # written beside `path` and renamed over it, so a failed save leaves any
     # earlier checkpoint there whole
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, model, meta, norm_arrays, resume)
+            crc = 0
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(_CRC.pack(crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _write_checkpoint(fh, model: GnnModel, meta: dict, norm_arrays, resume):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<I", VERSION))
-    _write_section(fh, "meta", json.dumps(meta).encode())
-    _write_section(fh, "params", _pack_arrays(model.parameters()))
-    _write_section(fh, "normalizers", _pack_arrays(norm_arrays))
-    if resume is not None:
-        scalars = {**_fields(resume.adam, skip=_MOMENTS),
-                   **dataclasses.asdict(resume.schedule), "epoch": resume.epoch}
-        _write_section(fh, "resume_meta", json.dumps(scalars).encode())
-        _write_section(fh, "resume_arrays", _pack_arrays(
-            model.split(resume.adam.m) + model.split(resume.adam.v)))
 
 
 def load_checkpoint(path):
@@ -205,52 +142,60 @@ def load_checkpoint(path):
         buf = fh.read()
     if buf[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"bad magic {buf[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    if len(buf) < len(MAGIC) + 4:
-        raise CheckpointError("truncated checkpoint (version)")
-    (version,) = struct.unpack_from("<I", buf, len(MAGIC))
+    start, end = len(MAGIC) + _HEAD.size, len(buf) - _CRC.size
+    if end < start:
+        raise CheckpointError("truncated checkpoint (header)")
+    version, meta_len = _HEAD.unpack_from(buf, len(MAGIC))
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version}, expected {VERSION}")
-    sections = _read_sections(buf, len(MAGIC) + 4)
-    meta = _json_section(sections, "meta")
-    required = ["params", "normalizers"]
-    if meta.get("has_resume"):
-        required += ["resume_meta", "resume_arrays"]
-    for name in required:
-        _section(sections, name)
+    if zlib.crc32(memoryview(buf)[:end]) != _CRC.unpack_from(buf, end)[0]:
+        raise CheckpointError("checkpoint CRC mismatch: the file is damaged or truncated")
+    if meta_len > end - start:
+        raise CheckpointError(f"section 'meta': {meta_len} bytes, but the file holds "
+                              f"{end - start}")
+    try:
+        meta = json.loads(buf[start:start + meta_len].decode())
+    except ValueError as exc:    # bad UTF-8 or JSON
+        raise CheckpointError(f"section 'meta': {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError("section 'meta' is not a JSON object")
 
     try:
-        model = GnnModel(GnnConfig(**meta["model"]))
-        featurizer = Featurizer(**_entries(meta["featurizer"], Featurizer,
-                                           skip=Featurizer.NORMALIZERS))
-        has_target_norm = meta["featurizer"]["has_target_norm"]
+        config = GnnConfig(**meta["model"])
+        entries = meta["featurizer"]
+        featurizer = Featurizer(**_entries(entries, Featurizer, skip=Featurizer.NORMALIZERS))
+        for name in Featurizer.NORMALIZERS:
+            if entries[name] is not None or name != "target_norm":
+                setattr(featurizer, name, _normalizer(name, entries[name]))
+        scalars = meta["resume"]
+        dtype = meta["dtype"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"section 'meta': bad model or featurizer entry: {exc!r}") from exc
-    model.flat[:] = _vector(model, _unpack_arrays(sections["params"], "params"), "params")
+    if dtype not in _DTYPES:
+        raise CheckpointError(f"section 'meta': dtype {dtype!r}, expected one of {_DTYPES}")
+    if not isinstance(scalars, (dict, type(None))):
+        raise CheckpointError("section 'resume_meta' is not a JSON object or null")
 
-    norm_arrays = _unpack_arrays(sections["normalizers"], "normalizers")
-    expected = 6 if has_target_norm else 4
-    if len(norm_arrays) != expected:
-        raise CheckpointError(f"section 'normalizers': {len(norm_arrays)} arrays, "
-                              f"expected {expected}")
-    for name, shift, scale in zip(Featurizer.NORMALIZERS, norm_arrays[::2], norm_arrays[1::2]):
-        setattr(featurizer, name, Normalizer(shift=shift, scale=scale))
-
-    resume = None
-    if meta.get("has_resume"):
-        scalars = _json_section(sections, "resume_meta")
-        arrays = _unpack_arrays(sections["resume_arrays"], "resume_arrays")
-        half = len(model.shapes)
-        if len(arrays) != 2 * half:
-            raise CheckpointError(f"section 'resume_arrays': {len(arrays)} arrays, "
-                                  f"expected {2 * half} (Adam m and v)")
-        try:
-            for f in _RESUME_SCALARS:
-                _check_resume_scalar(f, scalars[f.name])
-            adam = AdamState(m=_vector(model, arrays[:half], "resume_arrays (Adam m)"),
-                             v=_vector(model, arrays[half:], "resume_arrays (Adam v)"),
-                             **_entries(scalars, AdamState, skip=_MOMENTS))
-            sched = PlateauSchedule(**_entries(scalars, PlateauSchedule))
-            resume = TrainResumeState(adam=adam, schedule=sched, epoch=scalars["epoch"])
-        except KeyError as exc:
-            raise CheckpointError(f"section 'resume_meta': no entry {exc}") from exc
-    return model, featurizer, resume
+    # the parameter vector, then Adam's m and v for a resumable file
+    count, itemsize = 1 if scalars is None else 3, np.dtype(dtype).itemsize
+    size = end - start - meta_len
+    if size % (count * itemsize):
+        raise CheckpointError(f"section 'params': {size} bytes, not {count} whole "
+                              f"{dtype} vector(s)")
+    flat, *moments = [v.astype(dtype) for v in np.split(np.frombuffer(
+        buf, np.dtype(dtype).newbyteorder("<"), size // itemsize, start + meta_len), count)]
+    try:
+        model = GnnModel(config, flat)
+    except ValueError as exc:
+        raise CheckpointError(f"section 'params': {exc}") from exc
+    if scalars is None:
+        return model, featurizer, None
+    try:
+        for f in _RESUME_SCALARS:
+            _check_resume_scalar(f, scalars[f.name])
+    except KeyError as exc:
+        raise CheckpointError(f"section 'resume_meta': no entry {exc}") from exc
+    m, v = moments
+    adam = AdamState(m=m, v=v, **_entries(scalars, AdamState, skip=_MOMENTS))
+    sched = PlateauSchedule(**_entries(scalars, PlateauSchedule))
+    return model, featurizer, TrainResumeState(adam=adam, schedule=sched, epoch=scalars["epoch"])

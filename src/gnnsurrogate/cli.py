@@ -249,7 +249,7 @@ def cmd_inspect(args) -> int:
               f"depth {cfg.depth}, width {cfg.width}, "
               f"node features {featurizer.node_feature_width}, "
               f"edge features {featurizer.edge_feature_width}, "
-              f"{model.flat.size} parameters"
+              f"{model.flat.size} {model.flat.dtype} parameters"
               + (", resumable" if resume else ""))
     if not args.data and not args.ckpt:
         raise ValueError("inspect needs --data and/or --ckpt")

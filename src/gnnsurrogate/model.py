@@ -144,20 +144,6 @@ class GnnModel:
         views, n = self.split(vector), 2 * (self.config.depth + 1)
         return [views[i:i + n] for i in range(0, len(views), n)]
 
-    def flatten(self, values) -> np.ndarray:
-        """One array per parameter, in parameters() order, as a new vector
-        laid out like `flat`. A wrong count or shape raises ValueError naming
-        the first parameter that differs."""
-        shapes = [np.shape(a) for a in values]
-        if shapes != self.shapes:
-            if len(shapes) != len(self.shapes):
-                raise ValueError(f"expected {len(self.shapes)} parameter arrays, "
-                                 f"got {len(shapes)}")
-            i = next(i for i, (a, b) in enumerate(zip(shapes, self.shapes)) if a != b)
-            raise ValueError(f"parameter {i} ({self.parameter_names()[i]}) has shape "
-                             f"{shapes[i]}, expected {self.shapes[i]}")
-        return np.concatenate([np.ravel(a) for a in values])
-
 
 def build_model(config: GnnConfig, seed) -> GnnModel:
     """GnnModel(config) with zero biases and He-initialized weights

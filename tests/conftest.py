@@ -1,8 +1,9 @@
-import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +69,17 @@ def cast_mlp(mlp, dtype):
 
 
 def set_parameters(model, values):
-    """Copy one array per parameter into `model.flat`; the views stay bound."""
-    model.flat[:] = model.flatten(values)
+    """Copy one array per parameter, in parameters() order, into
+    `model.flat`; the views stay bound. A wrong count or shape raises
+    ValueError naming the first parameter that differs."""
+    shapes = [np.shape(a) for a in values]
+    if len(shapes) != len(model.shapes):
+        raise ValueError(f"expected {len(model.shapes)} parameter arrays, got {len(shapes)}")
+    for i, (shape, expected) in enumerate(zip(shapes, model.shapes)):
+        if shape != expected:
+            raise ValueError(f"parameter {i} ({model.parameter_names()[i]}) has shape "
+                             f"{shape}, expected {expected}")
+    model.flat[:] = np.concatenate([np.ravel(a) for a in values])
 
 
 def extract_segment(batch, k: int) -> gs.Graph:
@@ -147,23 +157,35 @@ def untimed_log(path):
     return records
 
 
-def edit_json_section(path, name, edit):
-    """Rewrite the checkpoint at `path` with edit(d) applied to the JSON
-    object d of its section `name`, as a hand edit of the file would."""
+def checkpoint_parts(raw: bytes) -> tuple[dict, bytes]:
+    """The meta JSON object and the raw vector bytes of checkpoint `raw`."""
+    start = len(checkpoint.MAGIC) + 12          # the version and the meta length
+    (length,) = struct.unpack_from("<Q", raw, start - 8)
+    return json.loads(raw[start:start + length]), raw[start + length:-4]
+
+
+def rewrite_checkpoint(path, edit=None, vectors=None):
+    """Rewrite the checkpoint at `path` with edit(meta) applied to its meta
+    JSON object and, if given, `vectors` as its raw vector bytes, as a hand
+    edit of the file would, with the meta length and the CRC made to match."""
     raw = path.read_bytes()
-    start = len(checkpoint.MAGIC) + 4
-    sections = checkpoint._read_sections(raw, start)
-    entries = json.loads(sections[name])
-    edit(entries)
-    sections[name] = json.dumps(entries).encode()
-    out = io.BytesIO()
-    for section, payload in sections.items():
-        checkpoint._write_section(out, section, payload)
-    path.write_bytes(raw[:start] + out.getvalue())
+    meta, body = checkpoint_parts(raw)
+    if edit is not None:
+        edit(meta)
+    text = json.dumps(meta).encode()
+    out = raw[:len(checkpoint.MAGIC) + 4] + struct.pack("<Q", len(text)) + text
+    out += body if vectors is None else vectors
+    path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+def edit_json_section(path, name, edit):
+    """Rewrite the checkpoint at `path` with edit(d) applied to its meta
+    (`name` 'meta') or to the meta's resume scalars ('resume_meta')."""
+    rewrite_checkpoint(path, lambda meta: edit(meta if name == "meta" else meta["resume"]))
 
 
 def edit_resume_meta(path, **entries):
-    """Set `entries` in the 'resume_meta' section of the checkpoint at `path`."""
+    """Set `entries` in the resume scalars of the checkpoint at `path`."""
     edit_json_section(path, "resume_meta", lambda meta: meta.update(entries))
 
 

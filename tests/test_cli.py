@@ -165,6 +165,13 @@ class TestPredictInspect:
         assert cli_main(["inspect", "--ckpt", str(out)]) == 0
         text = capsys.readouterr().out
         assert "node_level" in text and "latent 4" in text
+        model, featurizer, _ = gs.load_checkpoint(out)
+        assert text.endswith(f", {model.flat.size} float64 parameters, resumable\n")
+        out32 = tmp_path / "m32.ckpt"
+        gs.save_checkpoint(gs.GnnModel(model.config, model.flat.astype(np.float32)),
+                           featurizer, out32)
+        assert cli_main(["inspect", "--ckpt", str(out32)]) == 0
+        assert capsys.readouterr().out.endswith(f", {model.flat.size} float32 parameters\n")
 
     def test_inspect_without_arguments_fails(self):
         assert cli_main(["inspect"]) != 0
@@ -862,3 +869,23 @@ class TestBadResumeScalar:
         assert cli_main(["train", "--config", str(train_cfg), "--data", str(data),
                          "--out", str(tmp_path / "resumed.ckpt"), "--resume", str(ckpt)]) == 2
         assert capsys.readouterr().err == message
+
+
+class TestOldCheckpointVersion:
+    def test_every_command_exits_2_naming_the_version(self, workspace, capsys, monkeypatch):
+        """A file with a format-1 header is refused by name, not read."""
+        tmp_path, train_cfg, data = workspace
+        ckpt = train(tmp_path, train_cfg, data)
+        raw = bytearray(ckpt.read_bytes())
+        raw[8:12] = (1).to_bytes(4, "little")
+        ckpt.write_bytes(bytes(raw))
+        monkeypatch.setattr(training, "fit", _no_training)
+        capsys.readouterr()
+        for argv in (["eval", "--ckpt", str(ckpt), "--data", str(data)],
+                     ["predict", "--ckpt", str(ckpt), "--data", str(data)],
+                     ["inspect", "--ckpt", str(ckpt)],
+                     ["train", "--config", str(train_cfg), "--data", str(data),
+                      "--out", str(tmp_path / "resumed.ckpt"), "--resume", str(ckpt)]):
+            assert cli_main(argv) == 2, argv
+            assert capsys.readouterr() == ("", "error: checkpoint version 1, expected 2\n")
+        assert not (tmp_path / "resumed.ckpt").exists()

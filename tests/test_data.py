@@ -12,11 +12,13 @@ from gnnsurrogate import mlp as nn
 from gnnsurrogate import model as gnn
 from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
                                      load_checkpoint, save_checkpoint)
-from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, SeligParseError,
-                                   chain_target, patch_target, record_from_selig)
+from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, Featurizer,
+                                   SeligParseError, chain_target, patch_target,
+                                   record_from_selig)
 from gnnsurrogate.training import AdamState, PlateauSchedule
-from conftest import (count_featurizing, edit_json_section, edit_resume_meta,
-                      featurized_samples, tiny_config, validate)
+from conftest import (checkpoint_parts, count_featurizing, edit_json_section,
+                      edit_resume_meta, featurized_samples, rewrite_checkpoint, tiny_config,
+                      validate)
 
 
 class TestDatasetRoundTrip:
@@ -563,14 +565,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_wrong_version_rejected(self, tmp_path):
+        """A future version and format 1 are refused by name."""
         m, feat, _ = self.make()
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, feat, path)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(path)
+        for version in (99, 1):
+            raw[8:12] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CheckpointError,
+                               match=f"checkpoint version {version}, expected 2"):
+                load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):
         m, feat, _ = self.make()
@@ -614,6 +619,55 @@ class TestCheckpoint:
         assert all(np.shares_memory(p, m2.flat) for p in m2.parameters())
         assert resume2.adam.m.shape == resume2.adam.v.shape == m2.flat.shape
 
+    def test_float32_model_round_trips_bit_for_bit(self, tmp_path):
+        """A float32 model and float32 Adam moments come back float32, with
+        their bits and the model's predictions' bits."""
+        m, feat, samples = self.make(seed=5)
+        m32 = gnn.GnnModel(m.config, m.flat.astype(np.float32))
+        adam = AdamState.for_parameters(m32.parameters())
+        adam.m[:], adam.v[:] = np.random.default_rng(2).normal(size=(2, m32.flat.size))
+        path = tmp_path / "m32.ckpt"
+        save_checkpoint(m32, feat, path, resume=TrainResumeState(
+            adam=adam, schedule=PlateauSchedule(lr=1e-4), epoch=3))
+        back, feat2, resume = load_checkpoint(path)
+        for got, saved in ((back.flat, m32.flat), (resume.adam.m, adam.m),
+                           (resume.adam.v, adam.v)):
+            assert got.dtype == np.float32 and got.tobytes() == saved.tobytes()
+        for s in samples:
+            assert [a.tobytes() for a in gnn.predict(back, s.graph)] == \
+                [a.tobytes() for a in gnn.predict(m32, s.graph)]
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(back, feat2, again, resume=resume)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_moments_of_another_dtype_are_refused_at_save(self, tmp_path):
+        m, feat, _ = self.make()
+        m32 = gnn.GnnModel(m.config, m.flat.astype(np.float32))
+        resume = TrainResumeState(adam=AdamState.for_parameters(m.parameters()),
+                                  schedule=PlateauSchedule(lr=1e-4), epoch=3)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="float32 or float64 parameters"):
+            save_checkpoint(m32, feat, path, resume=resume)
+        assert not path.exists()
+
+    def test_a_flipped_bit_fails_the_crc(self, tmp_path):
+        m, feat, path = self.resumable(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - 4 - m.flat.nbytes] ^= 0x10        # a bit of Adam's v
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, entry", [("node_norm", None), ("edge_norm", [1.0, 2.0]),
+                                             ("target_norm", [[0.0], [1.0, 2.0]])])
+    def test_bad_normalizer_entry_is_named(self, tmp_path, name, entry):
+        _, _, path = self.resumable(tmp_path)
+        edit_json_section(path, "meta", lambda meta: meta["featurizer"].update({name: entry}))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"section 'meta': bad model or featurizer entry: ValueError('{name} is not "
+                f"[shift, scale] lists of one length')")):
+            load_checkpoint(path)
+
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
         """The model is made from the config and the stored vector: no
         He-initialized model is drawn only to be overwritten."""
@@ -651,17 +705,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.edge_norm.scale, feat.edge_norm.scale)
 
     def test_meta_entries_in_field_order(self, tmp_path):
-        """Normalizers, featurizer settings and resume scalars are written in
-        their dataclasses' field order, the byte layout of format version 1."""
-        _, feat, path = self.resumable(tmp_path)
-        sections = checkpoint._read_sections(path.read_bytes(), len(checkpoint.MAGIC) + 4)
-        norms = checkpoint._unpack_arrays(sections["normalizers"], "normalizers")
-        for got, norm in zip(norms[::2], (feat.node_norm, feat.edge_norm, feat.target_norm)):
-            np.testing.assert_array_equal(got, norm.shift)
-        assert list(json.loads(sections["meta"])["featurizer"]) == [
+        """Featurizer settings, normalizers and resume scalars are written in
+        their dataclasses' field order, the byte layout of format version 2."""
+        m, feat, path = self.resumable(tmp_path)
+        meta, _ = checkpoint_parts(path.read_bytes())
+        assert list(meta) == ["model", "dtype", "featurizer", "resume"]
+        assert list(meta["model"]) == [f.name for f in dataclasses.fields(m.config)]
+        assert list(meta["featurizer"]) == [
             "encoding_kind", "cell_type_vocabulary", "node_target_mode",
-            "use_speed_squared", "has_target_norm"]
-        assert list(json.loads(sections["resume_meta"])) == [
+            "use_speed_squared", "node_norm", "edge_norm", "target_norm"]
+        for name in Featurizer.NORMALIZERS:
+            norm = getattr(feat, name)
+            assert meta["featurizer"][name] == [norm.shift.tolist(), norm.scale.tolist()]
+        assert list(meta["resume"]) == [
             "t", "beta1", "beta2", "eps", "lr", "factor", "patience", "min_delta",
             "lr_min", "best", "bad_epochs", "epoch"]
 
@@ -674,28 +730,29 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
 
-    def test_missing_section_is_named(self, tmp_path):
-        m, feat, _ = self.make()
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(m, feat, path)
-        raw = path.read_bytes()
-        params_header = raw.index(b"params") - 4     # its name-length field
-        path.write_bytes(raw[:params_header])
-        with pytest.raises(CheckpointError, match="no 'params' section"):
-            load_checkpoint(path)
+    def test_vector_bytes_that_are_not_whole_vectors_are_named(self, tmp_path):
+        """Under a valid CRC, vector bytes that do not divide into 1 whole
+        vector (3 for a resumable file) of the meta's dtype are named."""
+        m, feat, resumable = self.resumable(tmp_path)
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(m, feat, plain)
+        for path, count in ((plain, 1), (resumable, 3)):
+            _, body = checkpoint_parts(path.read_bytes())
+            for size in [1, len(body) - 3, len(body) + 4] + [len(body) - 8] * (count == 3):
+                rewrite_checkpoint(path, vectors=(body * 2)[:size])
+                with pytest.raises(CheckpointError, match=re.escape(
+                        f"section 'params': {size} bytes, not {count} whole float64 vector(s)")):
+                    load_checkpoint(path)
 
     def test_failed_save_leaves_the_old_checkpoint_whole(self, tmp_path, monkeypatch):
-        from gnnsurrogate import checkpoint
         m, feat, path = self.resumable(tmp_path)
         before = path.read_bytes()
-        write_section = checkpoint._write_section
 
-        def failing(fh, name, payload):
-            if name == "normalizers":
-                raise OSError("disk full")
-            write_section(fh, name, payload)
+        def failing(fd):
+            raise OSError("disk full")
 
-        monkeypatch.setattr(checkpoint, "_write_section", failing)
+        # the new bytes are written, and then flushing them to disk fails
+        monkeypatch.setattr(checkpoint.os, "fsync", failing)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(m, feat, path)
         assert path.read_bytes() == before
@@ -747,26 +804,20 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section", ["params", "resume_arrays"])
     def test_array_shapes_must_match_the_config(self, tmp_path, section):
+        """A narrower model's vectors under a valid CRC: its parameter vector
+        in a file without resume state ('params'), or its parameter vector
+        and Adam moments in a resumable file ('resume_arrays')."""
         m, feat, path = self.resumable(tmp_path)
+        if section == "params":
+            save_checkpoint(m, feat, path)
         narrow = gnn.build_model(tiny_config(width=4), 0)
-        wrong = next(i for i, (a, b) in enumerate(zip(narrow.parameters(), m.parameters()))
-                     if a.shape != b.shape)
         donor = tmp_path / "narrow.ckpt"
         save_checkpoint(narrow, feat, donor, resume=TrainResumeState(
             adam=AdamState.for_parameters(narrow.parameters()),
             schedule=PlateauSchedule(lr=1e-4), epoch=3))
-        path.write_bytes(splice_section(path.read_bytes(), donor.read_bytes(), section))
-        with pytest.raises(CheckpointError, match=rf"'{section}.*parameter {wrong} "):
+        _, theirs = checkpoint_parts(donor.read_bytes())
+        rewrite_checkpoint(path, vectors=theirs if section == "resume_arrays"
+                           else theirs[:narrow.flat.nbytes])
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"section 'params': parameter vector of shape ({narrow.flat.size},)")):
             load_checkpoint(path)
-
-
-def splice_section(raw: bytes, donor: bytes, name: str) -> bytes:
-    """`raw` with section `name` replaced by the same section of `donor`."""
-    def span(buf):
-        key = len(name).to_bytes(4, "little") + name.encode()
-        start = buf.index(key)
-        length = int.from_bytes(buf[start + len(key):start + len(key) + 8], "little")
-        return start, start + len(key) + 8 + length
-    a, b = span(raw)
-    c, d = span(donor)
-    return raw[:a] + donor[c:d] + raw[b:]

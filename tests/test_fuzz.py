@@ -4,7 +4,8 @@ feature-design) file, and every mutation goes through `train`, `eval`,
 `predict` and `inspect`; it also replaces, drops or adds one entry of the
 train INI and runs `train`. Each command must either exit 0 with finite
 outputs or exit 2 with one `error:` line; a traceback, a warning or a NaN
-fails the test."""
+fails the test. It also flips one bit of, or truncates, a resumable
+checkpoint, which must raise CheckpointError and nothing else."""
 
 import configparser
 import contextlib
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gnnsurrogate.checkpoint import CheckpointError, load_checkpoint
 from gnnsurrogate.cli import cli_main
 
 GEN_INI = """\
@@ -336,5 +338,30 @@ def test_edited_train_ini_exits_0_with_finite_losses_or_2_with_one_line(valid):
             if _check_outcome(f"train: {edit}", code, err):
                 log = [json.loads(line) for line in (tmp / "m.ckpt.log").read_text().splitlines()]
                 assert log and all(math.isfinite(rec["loss"]) for rec in log), edit
+
+    check()
+
+
+def test_a_flipped_bit_or_a_truncation_raises_checkpoint_error(valid):
+    root, _, _, ckpt = valid
+    raw = ckpt.read_bytes()
+    bad = root / "bad.ckpt"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.tuples(st.just("flip"), st.integers(0, 8 * len(raw) - 1)),
+                     st.tuples(st.just("cut"), st.integers(0, len(raw) - 1))))
+    @example(("flip", 8 * len(raw) - 1))        # the CRC's top bit
+    @example(("flip", 8 * 8))                   # the version's lowest bit
+    @example(("cut", len(raw) - 1))
+    def check(edit):
+        kind, at = edit
+        damaged = bytearray(raw)
+        if kind == "flip":
+            damaged[at // 8] ^= 1 << at % 8
+        else:
+            del damaged[at:]
+        bad.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
 
     check()

@@ -23,6 +23,13 @@ and, for each encoding E, `cli/E/...`: `gnnsurrogate gen`, a 2-epoch `train`
 and a 1-epoch `train --resume` on a small INI: both checkpoints' bytes and
 both logs without `wall_time`.
 
+Six keys hash checkpoint bytes: `train/*/checkpoint`, `cli/*/train` and
+`cli/*/resume`. A change of the checkpoint format moves exactly those six
+and leaves the other ten (featurize, flat, adam, losses and predictions)
+as they were. The `cli` keys hash each log together with its checkpoint,
+so such a change hides whether `train --resume` still logs the same
+losses; compare those logs by hand.
+
 A tree that splits big MLP calls into row ranges holds OpenBLAS to one
 thread from its first split on, so its hashes do not depend on
 `OPENBLAS_NUM_THREADS`; an older tree's mesh training hashes do, and match
