@@ -103,8 +103,12 @@ def save_checkpoint(model: GnnModel, featurizer: Featurizer, path,
         raise ValueError(f"a checkpoint holds float32 or float64 parameters and Adam "
                          f"moments of their dtype and length, not "
                          f"{[(v.dtype.name, v.size) for v in vectors]}")
-    norms = {name: None if n is None else [n.shift.tolist(), n.scale.tolist()]
-             for name in Featurizer.NORMALIZERS for n in [getattr(featurizer, name)]}
+    norms = {}
+    for name in Featurizer.NORMALIZERS:
+        n = getattr(featurizer, name)
+        if n is not None and not n.fitted:
+            raise ValueError(f"the featurizer's {name} was never fitted")
+        norms[name] = None if n is None else [n.shift.tolist(), n.scale.tolist()]
     meta = {
         "model": dataclasses.asdict(model.config),
         "dtype": dtype.name,
@@ -175,6 +179,16 @@ def load_checkpoint(path):
         raise CheckpointError(f"section 'meta': dtype {dtype!r}, expected one of {_DTYPES}")
     if not isinstance(scalars, (dict, type(None))):
         raise CheckpointError("section 'resume_meta' is not a JSON object or null")
+    # the encoding fixes the node and edge feature columns, which the
+    # normalizers and the encoders take (no config field fixes target_norm's)
+    for side in ("node", "edge"):
+        width = getattr(featurizer, f"{side}_feature_width")
+        for name, size in ((f"{side}_norm", getattr(featurizer, f"{side}_norm").shift.size),
+                           (f"{side}_input_size", getattr(config, f"{side}_input_size"))):
+            if size != width:
+                raise CheckpointError(
+                    f"section 'meta': entry {name!r} is {size} wide, but the "
+                    f"{featurizer.encoding_kind} encoding's {side} features are {width} wide")
 
     # the parameter vector, then Adam's m and v for a resumable file
     count, itemsize = 1 if scalars is None else 3, np.dtype(dtype).itemsize

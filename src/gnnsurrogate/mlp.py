@@ -68,16 +68,17 @@ def he_init(config: MlpConfig, seed_or_rng) -> Mlp:
 
 # A call of at least _RANGE_ROWS // 2 = 1,024 rows runs its row-independent
 # work (products, bias, sine and cosine chains) in max(2, rows // _RANGE_ROWS)
-# contiguous chunks, which the calling thread and the pool's workers take from
-# one queue (`_in_ranges`); its backward then hands every whole-row reduction
-# to the same queue as one job each. The hidden sine and cosine are glibc's
-# scalar routines, so more cores are the one way to make float64 trig faster
-# without changing its bits. A training batch of meshes (tens of thousands of
-# edge rows, ~2,048 a chunk) gains, and so does a single mesh's predict (~600
-# to ~1,800 edge rows), whose edge MLPs run in two halves from 1,024 edges on.
-# A small batch of chains (a few hundred rows a call) runs whole. A
-# predict-only process (say, `eval` on meshes) pins OpenBLAS to one thread at
-# its first call of 1,024 rows or more (`_pin_blas_to_one_thread`).
+# contiguous chunks, one job each, which the calling thread and the pool's
+# workers take from one queue (`_run`); its backward then hands every
+# whole-row reduction to such a queue as one job each. The hidden sine and
+# cosine are glibc's scalar routines, so more cores are the one way to make
+# float64 trig faster without changing its bits. A training batch of meshes
+# (tens of thousands of edge rows, ~2,048 a chunk) gains, and so does a
+# single mesh's predict (~600 to ~1,800 edge rows), whose edge MLPs run in two
+# halves from 1,024 edges on. A small batch of chains (a few hundred rows a
+# call) runs whole. A predict-only process (say, `eval` on meshes) pins
+# OpenBLAS to one thread at its first call of 1,024 rows or more
+# (`_pin_blas_to_one_thread`).
 _RANGE_ROWS = 2048
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -153,27 +154,18 @@ def _row_ranges(rows: int) -> tuple[slice, ...]:
     return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
-def _in_ranges(task, ranges: tuple[slice, ...], *arrays, beside=()):
-    """Every `beside` job, called with no arguments, and, unless `task` is
-    None, task(*(a[r] for a in arrays)) for every range r; returns when all
-    have run. The jobs, the `beside` ones first, form one queue that the
-    calling thread and up to _WORKERS - 1 pool workers (the pool is made
-    here, at the first split) take in order. Once a job raises, no further
-    job starts, and the first exception is raised after every started job
-    has finished. One range runs the `beside` jobs and then task(*arrays)
-    on the calling thread, with no queue and no pool: an unsplit `backward`
-    runs each of its steps through here at the cost of a call. So
-    `_in_ranges(None, ranges, beside=jobs)` runs whole jobs, on the pool
-    when `ranges` is a split."""
+def _run(jobs, split: bool):
+    """Call every job of `jobs`, each with no arguments; returns when all
+    have run. Not `split`: in order on the calling thread, with no queue
+    and no pool. `split`: the calling thread and up to _WORKERS - 1 pool
+    workers (the pool is made here, at the first split) take them in
+    order from one queue. Once a job raises, no further job starts, and the
+    first exception is raised after every started job has finished."""
     global _pool
-    if len(ranges) == 1:
-        for job in beside:
+    if not split:
+        for job in jobs:
             job()
-        if task is not None:
-            task(*arrays)
         return
-    jobs = [*beside, *(functools.partial(task, *(a[r] for a in arrays))
-                       for r in (ranges if task is not None else ()))]
     taken, failed = itertools.count(), []     # next() on a count is atomic
 
     def run():
@@ -217,8 +209,8 @@ def forward_tape(mlp: Mlp, x):
     ufuncs make each layer's arrays. A call of at least 1,024 rows
     (`_row_ranges`) makes every layer's arrays first, the linear head's
     output being its z, and runs the body on each row chunk as one job of
-    `_in_ranges`'s queue, writing the chunk's rows with the bits of the
-    unsplit call."""
+    `_run`'s queue, writing the chunk's rows with the bits of the unsplit
+    call."""
     cfg = mlp.config
     if isinstance(x, list):
         blocks = x
@@ -229,49 +221,49 @@ def forward_tape(mlp: Mlp, x):
     if width != cfg.input_size:
         raise ValueError(f"input width {width}, expected {cfg.input_size}")
     w0, last, act = cfg.sine_frequency, len(mlp.weights) - 1, cfg.output_activation
-    firsts, parts, lo = [], [], 0   # per block: its rows of W0 and its product when gathered
+    firsts, lo = [], 0  # per block: array, gather indices, rows of W0, product when gathered
     for a, rows in blocks:
         wb = mlp.weights[0][lo:lo + a.shape[1]]
         lo += a.shape[1]
-        firsts.append((wb, None if rows is None else a @ wb))
-        parts.append(a if rows is None else rows)
-    unsplit = (None,) * (2 * last + 2)
+        firsts.append((a, rows, wb, None if rows is None else a @ wb))
+    a, rows = blocks[0]
+    n = len(a if rows is None else rows)
+    ranges = _row_ranges(n)
+    split = len(ranges) > 1
+    zs = [np.empty((n, w.shape[1]), w.dtype) for w in mlp.weights] if split else []
+    hs = [x] + [z if k == last and act == "linear" else np.empty_like(z)
+                for k, z in enumerate(zs)]
 
-    def task(*arrays):    # per block its rows (or gather indices), then each layer's z and output
-        outs = arrays[len(parts):] or unsplit
-        hs, zs = [x], []    # layer inputs; pre-activations (times w0 for sine layers)
+    def task(r):        # every layer on rows r; pre-activations times w0 for sine layers
         for k, b in enumerate(mlp.biases):
+            zr, hr = (zs[k][r], hs[k + 1][r]) if split else (None, None)
             if k:
-                z = np.matmul(h, mlp.weights[k], out=outs[2 * k])
+                z = np.matmul(h, mlp.weights[k], out=zr)
             else:               # the blocks' products, added up in order
-                z = None
-                for part, (wb, side) in zip(arrays, firsts):
-                    out = outs[0] if z is None else None
-                    p = (np.matmul(part, wb, out=out) if side is None
-                         else np.take(side, part, axis=0, out=out))
-                    if z is None:
-                        z = p
-                    else:
+                for i, (a, rows, wb, side) in enumerate(firsts):
+                    out = None if i else zr
+                    p = (np.matmul(a[r], wb, out=out) if side is None
+                         else np.take(side, rows[r], axis=0, out=out))
+                    if i:
                         z += p
+                    else:
+                        z = p
             z += b
             if k < last or act == "sine":
                 z *= w0
-                h = np.sin(z, out=outs[2 * k + 1])
+                h = np.sin(z, out=hr)
             elif act == "relu":
-                h = np.maximum(z, 0.0, out=outs[2 * k + 1])
+                h = np.maximum(z, 0.0, out=hr)
             else:
                 h = z
-            zs.append(z)
-            hs.append(h)
-        return h, (hs, zs)
+            if not split:
+                zs.append(z)
+                hs.append(h)
 
-    ranges = _row_ranges(len(parts[0]))
-    if len(ranges) == 1:
-        return task(*parts)
-    zs = [np.empty((ranges[-1].stop, w.shape[1]), w.dtype) for w in mlp.weights]
-    hs = [x] + [z if k == last and act == "linear" else np.empty_like(z)
-                for k, z in enumerate(zs)]
-    _in_ranges(task, ranges, *parts, *(a for z, h in zip(zs, hs[1:]) for a in (z, h)))
+    if split:
+        _run([functools.partial(task, r) for r in ranges], True)
+    else:       # directly: through `_run` a chain predict (a dozen small calls) took ~1% longer
+        task(ranges[0])
     return hs[-1], (hs, zs)
 
 
@@ -307,8 +299,8 @@ def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
     The tape is single-use: it is emptied and its pre-activations
     overwritten, so a second backward on it raises RuntimeError; the input
     and grad_output (cast to the weights' dtype) are only read. It runs
-    through `_in_ranges` in three steps. The first runs every row-wise step
-    of every layer, top to bottom, over the row ranges of the call
+    through `_run` in three steps. The first runs every row-wise step of
+    every layer, top to bottom, over the row ranges of the call
     (`_row_ranges`: one below 1,024 rows, else fixed chunks), one job per
     range: the output gradient's blocks, the output activation's chain, and
     each layer's gz @ W.T with the cosine chain of the layer below. The
@@ -331,9 +323,8 @@ def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
     if isinstance(grad_output, list):
         g_blocks = grad_output
         g = np.empty((len(zs[0]), cfg.output_size), dtype)
-        arrays = [a if rows is None else rows for a, rows in g_blocks]
     else:
-        g_blocks, arrays = (), []
+        g_blocks = ()
         g = np.asarray(grad_output, dtype=dtype)
         if g.ndim != 2:
             g = np.atleast_2d(g)
@@ -341,8 +332,6 @@ def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
     # pass; a linear head's is g, and its z, the output, is never read
     gzs = [*zs[:last], g if act == "linear" else zs[last]]
     gz0 = gzs[0]
-    parts = len(arrays)
-    arrays += [g, gzs[last], *zs[:last]]
     # the reductions, the longest first so that both CPUs finish together;
     # outputs go in by position, which a partial passes on for less
     jobs = []
@@ -365,21 +354,20 @@ def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
     hs.clear()          # consumed: the first pass overwrites every z, and
     zs.clear()          # the output is let go, as no gradient reads it
 
-    def task(*arrays):  # the output gradient's parts, g, the top layer's gz, z0 .. z[last - 1]
-        g, gz = arrays[parts], arrays[parts + 1]
-        for i in range(parts):
-            (a, rows), part = g_blocks[i], arrays[i]
-            p = part if rows is None else np.take(a, part, axis=0, out=None if i else g)
+    def task(r):        # the row-wise steps on rows r, from the output gradient down
+        gr, gz = g[r], gzs[last][r]
+        for i, (a, rows) in enumerate(g_blocks):
+            p = a[r] if rows is None else np.take(a, rows[r], axis=0, out=None if i else gr)
             if i:
-                g += p
-            elif p is not g:
-                np.copyto(g, p)
+                gr += p
+            elif p is not gr:
+                np.copyto(gr, p)
         if act == "sine":
-            _cos_chain(gz, g, w0)
+            _cos_chain(gz, gr, w0)
         elif act == "relu":
-            np.multiply(g, gz > 0.0, out=gz)
+            np.multiply(gr, gz > 0.0, out=gz)
         for k in range(last, 0, -1):        # layer k's gz @ W.T into the chain below
-            z = arrays[parts + 1 + k]
+            z = gzs[k - 1][r]
             _cos_chain(z, gz @ mlp.weights[k].T, w0)
             gz = z
 
@@ -390,13 +378,13 @@ def backward(mlp: Mlp, tape, grad_output, input_grad: bool = True,
                 gxs[i] = gb @ wb.T
 
     ranges = _row_ranges(len(gz0))
-    _in_ranges(task, ranges, *arrays)
-    _in_ranges(None, ranges, beside=[onto_rows, *jobs] if gathered else jobs)
+    split = len(ranges) > 1
+    _run([functools.partial(task, r) for r in ranges], split)
+    _run([onto_rows, *jobs] if gathered else jobs, split)
     del jobs            # the layer inputs go before the input gradients come
     for i, wb in row_wbs:
-        wt, gx = wb.T, np.empty((len(gz0), wb.shape[0]), dtype)
-        _in_ranges(lambda gz, gx: np.matmul(gz, wt, out=gx), ranges, gz0, gx)
-        gxs[i] = gx
+        wt, gxs[i] = wb.T, np.empty((len(gz0), wb.shape[0]), dtype)
+        _run([functools.partial(np.matmul, gz0[r], wt, gxs[i][r]) for r in ranges], split)
     if not input_grad:
         return None, grads
     return (gxs if as_blocks else gxs[0]), grads

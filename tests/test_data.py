@@ -15,6 +15,7 @@ from gnnsurrogate.checkpoint import (CheckpointError, TrainResumeState,
 from gnnsurrogate.datasets import (DEFAULT_CELL_TYPES, DatasetFormatError, Featurizer,
                                    SeligParseError, chain_target, patch_target,
                                    record_from_selig)
+from gnnsurrogate.features import Normalizer
 from gnnsurrogate.training import AdamState, PlateauSchedule
 from conftest import (checkpoint_parts, count_featurizing, edit_json_section,
                       edit_resume_meta, featurized_samples, rewrite_checkpoint, tiny_config,
@@ -667,6 +668,41 @@ class TestCheckpoint:
                 f"section 'meta': bad model or featurizer entry: ValueError('{name} is not "
                 f"[shift, scale] lists of one length')")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, side, width", [("node_norm", "node", 6),
+                                                   ("edge_norm", "edge", 3)])
+    def test_a_normalizer_of_another_width_is_named(self, tmp_path, name, side, width):
+        """Under a valid CRC, a normalizer one column wide for the airfoil
+        encoding's node (6) or edge (3) features is refused by name."""
+        _, _, path = self.resumable(tmp_path)
+        edit_json_section(path, "meta", lambda meta: meta["featurizer"].update(
+            {name: [[0.0], [1.0]]}))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"section 'meta': entry '{name}' is 1 wide, but the airfoil encoding's "
+                f"{side} features are {width} wide")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("side, width", [("node", 6), ("edge", 3)])
+    def test_an_input_size_that_is_not_the_encodings_is_named(self, tmp_path, side, width):
+        """A model whose encoder takes more columns than the featurizer's
+        encoding makes, with its own parameter vector, is refused by name."""
+        _, feat, _ = self.make()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(gnn.build_model(tiny_config(**{f"{side}_in": width + 1}), 0),
+                        feat, path)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"section 'meta': entry '{side}_input_size' is {width + 1} wide, but the "
+                f"airfoil encoding's {side} features are {width} wide")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["node_norm", "edge_norm"])
+    def test_an_unfitted_normalizer_is_refused_at_save(self, tmp_path, name):
+        m, feat, _ = self.make()
+        setattr(feat, name, Normalizer())
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=f"the featurizer's {name} was never fitted"):
+            save_checkpoint(m, feat, path)
+        assert not path.exists()
 
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
         """The model is made from the config and the stored vector: no

@@ -1,10 +1,13 @@
+import functools
 import pickle
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from gnnsurrogate import mlp as nn
@@ -466,74 +469,97 @@ class TestRowRanges:
         assert nn._row_ranges(1024) == (slice(0, 512), slice(512, 1024))
         assert len(nn._row_ranges(38082)) == 18
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2_000_000), st.integers(2, 8))
+    @example(1023, 2)
+    @example(1024, 2)
+    @example(4095, 8)
+    @example(4096, 2)
+    def test_the_chunks_depend_on_the_row_count_alone(self, rows, workers):
+        """The split's bits rest on its chunk bounds: one whole range below
+        1,024 rows, else max(2, rows // 2048) contiguous slices of at least
+        512 rows that tile [0, rows), whatever the CPU count."""
+        with mock.patch.multiple(nn, _pin_blas_to_one_thread=lambda: True, _WORKERS=workers):
+            ranges = nn._row_ranges(rows)
+        if rows < 1024:
+            assert ranges == (slice(None),)
+            return
+        assert len(ranges) == max(2, rows // 2048)
+        assert [r.step for r in ranges] == [None] * len(ranges)
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+        assert ranges[-1].stop == rows
+        assert min(r.stop - r.start for r in ranges) >= 512
+
     def test_a_raising_job_is_raised_once_the_started_ones_finish(self, monkeypatch):
-        """A chunk that raises on a worker, then a `beside` job that raises
-        while a chunk runs, then a whole job that raises in a queue of whole
-        jobs and no chunks: each time the caller gets the exception, after
+        """A chunk job that raises on a worker, then a whole job that raises
+        while other jobs run: each time the caller gets the exception, after
         every started job has finished, and the next call still runs on the
-        pool. `_in_ranges` itself never pins the BLAS."""
+        pool. `_run` itself never pins the BLAS."""
+        pins = []
+        monkeypatch.setattr(nn, "_pin_blas_to_one_thread", lambda: pins.append(1) or True)
         monkeypatch.setattr(nn, "_WORKERS", 2)
-        ranges = tuple(slice(i, i + 1) for i in range(6))
         main = threading.main_thread()
         started, finished = [], []
         on_main, on_worker = threading.Event(), threading.Event()
 
-        def chunk_failing_on_a_worker(a):
+        def chunk_failing_on_a_worker(r):
             if threading.current_thread() is not main:
                 on_worker.set()
                 on_main.wait(10)
                 raise ValueError("chunk on a worker")
-            started.append(a[0])
+            started.append(r.start)
             on_main.set()
             on_worker.wait(10)
             time.sleep(0.05)
-            finished.append(a[0])
+            finished.append(r.start)
 
+        ranges = [slice(i, i + 1) for i in range(6)]
         with pytest.raises(ValueError, match="chunk on a worker"):
-            nn._in_ranges(chunk_failing_on_a_worker, ranges, np.arange(6))
+            nn._run([functools.partial(chunk_failing_on_a_worker, r) for r in ranges], True)
         assert started and finished == started
 
         started.clear(), finished.clear(), on_main.clear()
+        raised = threading.Event()
 
-        def slow_chunk(a):
-            started.append(a[0])
+        def slow_job(i):
+            started.append(i)
             on_main.set()
+            raised.wait(10)
             time.sleep(0.05)
-            finished.append(a[0])
-
-        def failing_beside():
-            on_main.wait(10)       # a chunk runs on the other thread
-            raise ValueError("beside")
-
-        with pytest.raises(ValueError, match="beside"):
-            nn._in_ranges(slow_chunk, ranges, np.arange(6), beside=(failing_beside,))
-        assert started and sorted(finished) == sorted(started)
-
-        out, ran = np.zeros(6), []
-        nn._in_ranges(lambda o: np.add(o, 1.0, out=o), ranges, out,
-                      beside=(lambda: ran.append(1),))
-        assert out.tolist() == [1.0] * 6 and ran == [1]
-
-        started.clear(), finished.clear(), on_main.clear()
+            finished.append(i)
 
         def failing_whole_job():
             on_main.wait(10)       # a slow job runs on the other thread
+            raised.set()
             raise ValueError("whole job")
 
-        slow_jobs = [lambda i=i: slow_chunk([i]) for i in range(5)]
+        slow_jobs = [functools.partial(slow_job, i) for i in range(5)]
         with pytest.raises(ValueError, match="whole job"):
-            nn._in_ranges(None, ranges, beside=(failing_whole_job, *slow_jobs))
-        assert started and sorted(finished) == sorted(started)
+            nn._run([failing_whole_job, *slow_jobs], True)
+        assert started == finished == [0]   # and no job started after the raise
 
+        # two jobs that pass a barrier only when both threads take one
+        both, ran = threading.Barrier(2, timeout=10), []
+        nn._run([lambda i=i: (both.wait(), ran.append(i)) for i in range(4)], True)
+        assert sorted(ran) == [0, 1, 2, 3] and pins == []
+
+    def test_unsplit_jobs_run_in_order_on_the_calling_thread(self):
         ran = []
-        nn._in_ranges(None, ranges, beside=[lambda i=i: ran.append(i) for i in range(4)])
-        assert sorted(ran) == [0, 1, 2, 3]
+
+        def job(i):
+            if i == 2:
+                raise ValueError("job 2")
+            ran.append((i, threading.current_thread()))
+
+        with pytest.raises(ValueError, match="job 2"):
+            nn._run([functools.partial(job, i) for i in range(4)], False)
+        assert ran == [(0, threading.main_thread()), (1, threading.main_thread())]
 
 
-# Every layer of an unsplit backward runs through `_in_ranges`, whose one-range
-# case must stay a plain call: a chain fit and predict, and a single mesh's
-# predict below 1,024 edges, make no pool, load no executor and never pin
-# OpenBLAS. The CPU count is taken as two, so that only the row counts keep
+# An unsplit backward runs its steps through `_run`, whose unsplit case must
+# stay a plain loop on the calling thread: a chain fit and predict, and a
+# single mesh's predict below 1,024 edges, make no pool, load no executor and
+# never pin OpenBLAS. The CPU count is taken as two, so that only the row counts keep
 # the calls whole; a child interpreter, so no earlier test's split counts.
 UNSPLIT_SCRIPT = """
 import sys

@@ -786,9 +786,16 @@ m = gnn.build_model(tiny_config(node_in=feat.node_feature_width,
 rng = np.random.default_rng(5)
 grad_node, grad_graph = rng.normal(size=(g.num_nodes, 2)), rng.normal(size=(len(samples), 3))
 chunks = []
-in_ranges = nn._in_ranges
-nn._in_ranges = lambda task, ranges, *a, **kw: (chunks.append(len(ranges)),
-                                               in_ranges(task, ranges, *a, **kw))[1]
+row_ranges = nn._row_ranges
+
+
+def counted_ranges(rows):
+    ranges = row_ranges(rows)
+    chunks.append(len(ranges))
+    return ranges
+
+
+nn._row_ranges = counted_ranges
 
 
 def run(workers):

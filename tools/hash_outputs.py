@@ -35,9 +35,15 @@ thread from its first split on, so its hashes do not depend on
 `OPENBLAS_NUM_THREADS`; an older tree's mesh training hashes do, and match
 only when run at `OPENBLAS_NUM_THREADS=1`. An MLP call splits from 1,024
 rows on, so the held-out mesh predictions include split calls too: a mesh
-of 1,024 edges or more predicts its edge MLPs in row chunks. Bits across
-CPU models are not promised either way (OpenBLAS picks its kernels per
-CPU). Standard library only, besides the tree's own code and numpy.
+of 1,024 edges or more predicts its edge MLPs in row chunks. So the tool
+runs itself once more, in a child process at `OPENBLAS_NUM_THREADS=1`
+(unless it already runs there), and names on stderr each key whose hash
+the child gives otherwise, exiting 1 if there is any; the JSON line
+printed is this run's. On one CPU nothing splits and nothing pins the
+BLAS, so a run there with `OPENBLAS_NUM_THREADS` above 1 may differ from
+its child without a fault. Bits across CPU models are not promised either
+way (OpenBLAS picks its kernels per CPU). Standard library only, besides
+the tree's own code and numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -197,6 +205,13 @@ def differences(got: dict, expected: dict) -> list[str]:
     return lines
 
 
+def one_thread_differences(hashes: dict, child_line: str) -> list[str]:
+    """`differences` between this run's hashes and the JSON line its child
+    printed at OPENBLAS_NUM_THREADS=1, each line saying so."""
+    return [f"at OPENBLAS_NUM_THREADS=1, {line}"
+            for line in differences(json.loads(child_line), hashes)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", required=True, type=Path,
@@ -221,9 +236,15 @@ def main(argv=None) -> int:
         for encoding in CLI_RUNS:
             hashes.update(cli_hashes(encoding, args.seed, Path(tmp) / encoding))
     print(json.dumps(hashes, sort_keys=True))
-    if expected is None:
-        return 0
-    lines = differences(hashes, expected)
+    lines = [] if expected is None else differences(hashes, expected)
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        child = subprocess.run(
+            [sys.executable, __file__, "--root", str(root), "--seed", str(args.seed)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True)
+        if child.returncode != 0:
+            sys.stderr.write(child.stderr)
+            raise SystemExit("the OPENBLAS_NUM_THREADS=1 run failed")
+        lines += one_thread_differences(hashes, child.stdout.splitlines()[-1])
     for line in lines:
         print(line, file=sys.stderr)
     return 1 if lines else 0
